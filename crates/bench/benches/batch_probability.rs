@@ -5,35 +5,27 @@
 //! the batched hook, the per-entry RNG streams, and gate fusion target.
 //!
 //! Configurations:
-//! * `scalar`  — the baseline path: per-candidate `compute_probability`
-//!   calls, sequential redistribution, no fusion;
-//! * `batched` — `probabilities_batch` + (on multi-core hosts) Rayon
-//!   redistribution;
-//! * `batched_fused` — the full restructured hot path, adding
-//!   single-qubit gate fusion.
+//! * `scalar`  — the baseline path: a `with_hooks` simulator whose
+//!   candidate sets loop the per-candidate `compute_probability` hook,
+//!   no fusion;
+//! * `batched` — `Simulator::new`: `probabilities_batch`;
+//! * `batched_fused` — the full hot path, adding the optimizer's
+//!   single-qubit merge.
 //!
-//! All three produce identically distributed histograms; `scalar` and
-//! `batched` are bit-identical under a fixed seed.
+//! Redistribution fans out across Rayon threads on multi-core hosts in
+//! every arm. All three produce identically distributed histograms;
+//! `scalar` and `batched` are bit-identical under a fixed seed.
 
 use bgls_bench::universal_workload;
 use bgls_circuit::{Operation, Qubit};
 use bgls_core::{Simulator, SimulatorOptions};
 use bgls_statevector::StateVector;
+use bgls_testkit::{merge_1q, scalar_simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const QUBITS: usize = 16;
 const MOMENTS: usize = 40;
 const REPS: u64 = 100_000;
-
-fn options(batch: bool, fuse: bool) -> SimulatorOptions {
-    SimulatorOptions {
-        seed: Some(7),
-        batch_probabilities: batch,
-        parallel_redistribution: batch,
-        fuse_gates: fuse,
-        ..Default::default()
-    }
-}
 
 fn bench_batch_probability(c: &mut Criterion) {
     let mut circuit = universal_workload(QUBITS, MOMENTS, 42);
@@ -46,7 +38,17 @@ fn bench_batch_probability(c: &mut Criterion) {
         ("batched_fused", true, true),
     ] {
         group.bench_function(label, |b| {
-            let sim = Simulator::new(StateVector::zero(QUBITS)).with_options(options(batch, fuse));
+            let state = StateVector::zero(QUBITS);
+            let sim = if batch {
+                Simulator::new(state)
+            } else {
+                scalar_simulator(state)
+            };
+            let sim = sim.with_options(SimulatorOptions {
+                seed: Some(7),
+                optimize: fuse.then(merge_1q),
+                ..Default::default()
+            });
             b.iter(|| sim.run(&circuit, REPS).unwrap());
         });
     }

@@ -6,6 +6,7 @@ use bgls_bench::universal_workload;
 use bgls_circuit::{Circuit, Operation, Qubit};
 use bgls_core::{Simulator, SimulatorOptions};
 use bgls_statevector::StateVector;
+use bgls_testkit::scalar_simulator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn workload(qubits: usize, moments: usize) -> Circuit {
@@ -28,7 +29,6 @@ fn bench_parallelization(c: &mut Criterion) {
                 let sim = Simulator::new(StateVector::zero(8)).with_options(SimulatorOptions {
                     seed: Some(7),
                     parallelize_samples: false,
-                    parallel_trajectories: false,
                     ..Default::default()
                 });
                 b.iter(|| sim.run(&circuit, reps).unwrap());
@@ -48,12 +48,13 @@ fn bench_batched_redistribution(c: &mut Criterion) {
     let reps = 100_000u64;
     for (label, batch) in [("scalar", false), ("batched", true)] {
         group.bench_function(label, |b| {
-            let sim = Simulator::new(StateVector::zero(8)).with_options(SimulatorOptions {
-                seed: Some(7),
-                batch_probabilities: batch,
-                parallel_redistribution: batch,
-                ..Default::default()
-            });
+            let state = StateVector::zero(8);
+            let sim = if batch {
+                Simulator::new(state)
+            } else {
+                scalar_simulator(state)
+            };
+            let sim = sim.with_seed(7);
             b.iter(|| sim.run(&circuit, reps).unwrap());
         });
     }

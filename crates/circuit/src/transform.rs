@@ -1,11 +1,13 @@
-//! Circuit transformers, most importantly the `bgls.optimize_for_bgls`
-//! substitute (paper Sec. 3.2.2): merging runs of single-qubit gates so the
-//! sampler updates its bitstring once per merged gate instead of once per
-//! primitive gate, a documented 1.5-2x runtime win.
+//! Circuit transformers, most importantly [`fuse`], the substitute for
+//! the Python package's `bgls.optimize_for_bgls` (paper Sec. 3.2.2):
+//! merging runs of single-qubit gates so the sampler updates its
+//! bitstring once per merged gate instead of once per primitive gate, a
+//! documented 1.5-2x runtime win.
 //!
-//! The composed pass behind `SimulatorOptions::fuse_gates` is [`fuse`]
-//! ([`merge_single_qubit_gates`] followed by [`drop_identities`]); the
-//! pieces are public so callers can run them independently. Every pass
+//! [`fuse`] is [`merge_single_qubit_gates`] followed by
+//! [`drop_identities`]; the pieces are public so callers can run them
+//! independently. The optimizer pipeline runs [`fuse`] as its `merge-1q`
+//! pass, so a simulator applies it through `SimulatorOptions::optimize`. Every pass
 //! preserves the circuit's unitary action exactly — matrices are
 //! multiplied, never approximated — so sampling *distributions* are
 //! unchanged even though the gate sequence (and hence seeded samples)
@@ -101,7 +103,7 @@ pub fn drop_identities(circuit: &Circuit) -> Circuit {
     out
 }
 
-/// The sampler-facing fusion pass behind `SimulatorOptions::fuse_gates`:
+/// The sampler-facing fusion pass (the paper's `optimize_for_bgls`):
 /// merges maximal runs of adjacent single-qubit gates on each qubit into
 /// one [`Gate::U1`] (exact matrix products, nothing approximated), then
 /// drops operations that fused to the identity.
@@ -114,12 +116,6 @@ pub fn drop_identities(circuit: &Circuit) -> Circuit {
 /// as barriers and are kept verbatim.
 pub fn fuse(circuit: &Circuit) -> Circuit {
     drop_identities(&merge_single_qubit_gates(circuit))
-}
-
-/// The full BGLS-oriented optimization pipeline (paper Sec. 3.2.2) —
-/// today identical to [`fuse`], kept under the paper's name.
-pub fn optimize_for_bgls(circuit: &Circuit) -> Circuit {
-    fuse(circuit)
 }
 
 /// True when `m ~= e^{i phi} I` for some phase.
@@ -213,7 +209,7 @@ mod tests {
         c.push(op(Gate::H, &[1]));
         c.push(op(Gate::X, &[0]));
         c.push(op(Gate::X, &[0])); // X X = I -> merged U1 is identity
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert_eq!(opt.num_operations(), 1);
     }
 
@@ -222,7 +218,7 @@ mod tests {
         let mut c = Circuit::new();
         c.push(op(Gate::T, &[0]));
         c.push(op(Gate::Tdg, &[0]));
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert_eq!(opt.num_operations(), 0);
     }
 
@@ -275,7 +271,7 @@ mod tests {
             gate_set: vec![Gate::H, Gate::S, Gate::T, Gate::X, Gate::Cnot, Gate::Cz],
         };
         let c = generate_random_circuit(&params, &mut rng);
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert!(opt.num_operations() <= c.num_operations());
         let u = c.unitary(4).unwrap();
         let v = opt.unitary(4).unwrap();
@@ -292,7 +288,7 @@ mod tests {
             gate_set: vec![Gate::H, Gate::S, Gate::T, Gate::X],
         };
         let c = generate_random_circuit(&params, &mut rng);
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         // all 1q gates with no barriers: everything merges to <= 8 ops
         assert!(opt.num_operations() <= 8);
     }

@@ -6,23 +6,27 @@
 //! mirroring the Python package's constructor: an initial state, an
 //! `apply_op` hook, and a `compute_probability` hook.
 //!
-//! Three execution paths:
-//! * **sample-parallelized** (Sec. 3.2.3): for unitary circuits with
-//!   terminal measurements the state evolves once and all repetitions ride
-//!   along in a `bitstring -> multiplicity` map, split multinomially at
-//!   each gate. Runtime saturates at large repetition counts (Fig. 2).
-//! * **trajectory forest**: circuits with stochastic channels or
-//!   mid-circuit measurements keep the multiplicity-map economics by
-//!   maintaining a frontier of `(state, multiplicity-map)` nodes.
-//!   Deterministic segments advance each node once; at a stochastic
-//!   operation every node splits its multiplicities multinomially across
-//!   the branch outcomes and forks one child state per nonempty branch.
-//!   Total state evolutions drop from `O(reps x gates)` to
-//!   `O(distinct branch histories x gates)`.
-//! * **trajectories** (Sec. 3.2.1): stochastic apply hooks
-//!   (sum-over-Cliffords), custom hook constructors, or a forest frontier
-//!   that outgrew [`SimulatorOptions::max_forest_nodes`] re-run the
-//!   circuit per repetition, optionally across Rayon threads.
+//! Two engines:
+//! * **frontier walk**: a frontier of `(state, multiplicity-map)` nodes,
+//!   each owning its RNG. Every deterministic operation advances each
+//!   node once and splits its map's multiplicities multinomially over
+//!   the candidates. When the circuit is unitary (or its channels are
+//!   absorbed deterministically) with terminal measurements, the walk
+//!   starts from one node and never forks: this is the paper's sample
+//!   parallelization (Sec. 3.2.3), whose runtime saturates at large
+//!   repetition counts (Fig. 2). Otherwise stochastic channels and
+//!   mid-circuit measurements fork one child state per nonempty branch
+//!   (the *trajectory forest*), so state evolutions drop from
+//!   `O(reps x gates)` to `O(distinct branch histories x gates)`.
+//! * **replay** (Sec. 3.2.1): stochastic apply hooks
+//!   (sum-over-Cliffords), forks under custom hook constructors, or a
+//!   forest frontier that outgrew [`SimulatorOptions::max_forest_nodes`]
+//!   re-run the circuit per repetition, one contiguous range of
+//!   repetitions per Rayon thread.
+//!
+//! Neither engine has a bit-affecting parallelism switch: every map
+//! entry, node, and repetition draws from its own seed-derived stream,
+//! so seeded results are identical for every `RAYON_NUM_THREADS`.
 
 use crate::bitstring::BitString;
 use crate::error::SimError;
@@ -73,11 +77,6 @@ pub struct SimulatorOptions {
     /// distribution is provably unchanged. Off by default to mirror the
     /// paper; exposed for the ablation bench.
     pub skip_diagonal_updates: bool,
-    /// Use Rayon to spread trajectory repetitions — and trajectory-forest
-    /// frontier nodes — across threads (default `true`). Both paths draw
-    /// every sample from its own seed-derived RNG stream, so results are
-    /// bit-identical whether this is on or off.
-    pub parallel_trajectories: bool,
     /// Run noisy / mid-circuit-measurement circuits through the
     /// trajectory-forest engine instead of per-repetition replay
     /// (default `true`). The forest samples the same distribution as
@@ -93,37 +92,13 @@ pub struct SimulatorOptions {
     /// has flat memory use. The budget bounds forest memory to roughly
     /// `2 x max_forest_nodes` live states.
     pub max_forest_nodes: usize,
-    /// Run [`Simulator::run_sweep`] resolvers across Rayon threads
-    /// (default `false`). Every resolver's run derives its own seed
-    /// stream from [`SimulatorOptions::seed`] exactly as the sequential
-    /// loop does, so per-resolver results are bit-identical either way.
-    pub parallel_sweep: bool,
-    /// Evaluate candidate probabilities through the batched hook when one
-    /// is installed (default `true`). `false` forces the scalar
-    /// per-candidate hook — same samples, useful for benchmarking the
-    /// batched path against its baseline.
-    pub batch_probabilities: bool,
-    /// Spread the multiplicity-map redistribution across Rayon threads
-    /// when the map is large (default `true`). Every map entry draws from
-    /// its own RNG stream derived from the step seed, so results are
-    /// bit-identical whether this is on or off.
-    pub parallel_redistribution: bool,
-    /// Run [`bgls_circuit::fuse`] on circuits before sampling them
-    /// (default `false`): merges runs of adjacent single-qubit gates so
-    /// the sampler updates its bitstring once per run. Preserves the
-    /// sampling distribution exactly but changes the gate sequence, so
-    /// seeded samples differ from unfused runs (except when fusion leaves
-    /// the operation count unchanged). Requires a backend that accepts
-    /// [`bgls_circuit::Gate::U1`] matrices (stabilizer states accept only
-    /// Clifford ones).
-    pub fuse_gates: bool,
-    /// Run the full multi-pass optimizer pipeline
-    /// ([`bgls_circuit::optimize`]) on circuits before sampling them
-    /// (default `None` = off). When set, this supersedes `fuse_gates`:
-    /// the configured pipeline (cancellation, commutation reordering,
-    /// lightcone pruning, 1q/2q run fusion, optional diagonal-run
-    /// extraction) runs instead of the plain single-qubit fusion.
-    /// Preserves the sampling distribution and every expectation value
+    /// Run the multi-pass optimizer pipeline ([`bgls_circuit::optimize`])
+    /// on circuits before sampling them (default `None` = off): the
+    /// configured passes (cancellation, commutation reordering, lightcone
+    /// pruning, 1q/2q run fusion, optional diagonal-run extraction).
+    /// `OptimizeConfig { merge_single_qubit_runs: true,
+    /// ..OptimizeConfig::off() }` is the paper's single-qubit merge
+    /// (Sec. 3.2.2, [`bgls_circuit::fuse`]). Preserves the sampling distribution and every expectation value
     /// exactly but changes the executed gate sequence, so seeded samples
     /// differ from raw runs. Matrix-producing configurations require a
     /// backend that accepts [`bgls_circuit::Gate::U1`]/`U2` matrices —
@@ -138,13 +113,8 @@ impl Default for SimulatorOptions {
             seed: None,
             parallelize_samples: true,
             skip_diagonal_updates: false,
-            parallel_trajectories: true,
             trajectory_forest: true,
             max_forest_nodes: 256,
-            parallel_sweep: false,
-            batch_probabilities: true,
-            parallel_redistribution: true,
-            fuse_gates: false,
             optimize: None,
         }
     }
@@ -154,11 +124,10 @@ impl Default for SimulatorOptions {
 pub struct Simulator<S: BglsState> {
     initial_state: S,
     apply_op: ApplyFn<S>,
-    compute_probability: ProbFn<S>,
-    /// Batched candidate-probability hook; `None` falls back to looping
-    /// `compute_probability` (the case for [`Simulator::with_hooks`],
-    /// whose custom scalar hook must stay authoritative).
-    compute_probabilities_batch: Option<BatchProbFn<S>>,
+    /// Candidate-probability hook. [`Simulator::with_hooks`] installs one
+    /// that loops its scalar hook, so a custom scalar hook stays
+    /// authoritative until [`Simulator::with_batch_hook`] replaces it.
+    compute_probabilities: BatchProbFn<S>,
     /// Custom apply hooks may be stochastic (e.g. sum-over-Cliffords), in
     /// which case each sample must re-run the circuit.
     stochastic_apply: bool,
@@ -176,8 +145,7 @@ impl<S: BglsState> Clone for Simulator<S> {
         Simulator {
             initial_state: self.initial_state.clone(),
             apply_op: self.apply_op.clone(),
-            compute_probability: self.compute_probability.clone(),
-            compute_probabilities_batch: self.compute_probabilities_batch.clone(),
+            compute_probabilities: self.compute_probabilities.clone(),
             stochastic_apply: self.stochastic_apply,
             default_hooks: self.default_hooks,
             options: self.options.clone(),
@@ -230,14 +198,12 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             }
             OpKind::Measure { .. } => Ok(()), // handled by the sampler
         });
-        let prob: ProbFn<S> = Arc::new(|state, bits| state.probability(bits));
         let batch: BatchProbFn<S> =
             Arc::new(|state, candidates| state.probabilities_batch(candidates));
         Simulator {
             initial_state,
             apply_op: apply,
-            compute_probability: prob,
-            compute_probabilities_batch: Some(batch),
+            compute_probabilities: batch,
             stochastic_apply: false,
             default_hooks: true,
             options: SimulatorOptions::default(),
@@ -249,20 +215,29 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// randomness (disables sample parallelization so each repetition
     /// explores its own branch).
     ///
-    /// No batched probability hook is installed (the custom scalar hook
-    /// stays authoritative for every candidate); add one with
-    /// [`Simulator::with_batch_hook`] when a batched evaluation exists.
+    /// Candidate sets are evaluated by looping `compute_probability`, so
+    /// the custom scalar hook stays authoritative for every candidate;
+    /// replace the loop with [`Simulator::with_batch_hook`] when a
+    /// batched evaluation exists.
     pub fn with_hooks(
         initial_state: S,
         apply_op: ApplyFn<S>,
         compute_probability: ProbFn<S>,
         stochastic_apply: bool,
-    ) -> Self {
+    ) -> Self
+    where
+        S: 'static,
+    {
+        let batch: BatchProbFn<S> = Arc::new(move |state, candidates| {
+            candidates
+                .iter()
+                .map(|&c| compute_probability(state, c))
+                .collect()
+        });
         Simulator {
             initial_state,
             apply_op,
-            compute_probability,
-            compute_probabilities_batch: None,
+            compute_probabilities: batch,
             stochastic_apply,
             default_hooks: false,
             options: SimulatorOptions::default(),
@@ -273,7 +248,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// return, per candidate, exactly what the scalar hook would — see
     /// [`BatchProbFn`].
     pub fn with_batch_hook(mut self, hook: BatchProbFn<S>) -> Self {
-        self.compute_probabilities_batch = Some(hook);
+        self.compute_probabilities = hook;
         self
     }
 
@@ -318,7 +293,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     }
 
     /// True when this circuit can use the single-evolution multiplicity-map
-    /// path.
+    /// path: a frontier walk from one node that never forks.
     fn can_parallelize(&self, circuit: &Circuit) -> bool {
         self.options.parallelize_samples
             && !self.stochastic_apply
@@ -343,13 +318,12 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// measurement.
     ///
     /// Determinism: with a fixed seed the returned histograms are
-    /// bit-identical regardless of `batch_probabilities`,
-    /// `parallel_redistribution`, and (on the forest and trajectory
-    /// paths) `parallel_trajectories`. Switching the *engine* —
+    /// bit-identical for every thread count and for any batched hook
+    /// that honors the [`BatchProbFn`] contract. Switching the *engine* —
     /// `trajectory_forest` on/off, or a forest run falling back on
     /// budget exhaustion — keys the RNG streams differently, so it
     /// preserves the distribution but not the individual seeded samples;
-    /// `fuse_gates` likewise changes the executed gate sequence.
+    /// `optimize` likewise changes the executed gate sequence.
     pub fn run(&self, circuit: &Circuit, repetitions: u64) -> Result<RunResult, SimError> {
         if !circuit.has_measurements() {
             return Err(SimError::NoMeasurements);
@@ -359,33 +333,28 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             return Ok(RunResult::new(0));
         }
         let circuit = self.prepared(circuit);
-        if self.can_parallelize(&circuit) {
-            return self.run_parallel_samples(&circuit, repetitions);
-        }
-        if self.can_forest() {
-            match self.run_forest(&circuit, repetitions) {
-                // frontier outgrew max_forest_nodes: replay instead
-                Ok(None) => {}
-                // backend lacks branch/projection capability for some
-                // operation: the replay path is the arbiter of whether
-                // the circuit is runnable at all
-                Err(SimError::Unsupported(_)) => {}
-                other => return other.map(|r| r.expect("forest result")),
+        let single = self.can_parallelize(&circuit);
+        if single || self.can_forest() {
+            let mut result = RunResult::new(repetitions);
+            match self.run_forest(&circuit, repetitions, &mut result) {
+                Ok(Some(_)) => return Ok(result),
+                // A forking walk replays when its frontier outgrew
+                // max_forest_nodes, or when the backend lacks a branch or
+                // projection capability (replay is the arbiter of whether
+                // the circuit is runnable at all).
+                Ok(None) | Err(SimError::Unsupported(_)) if !single => {}
+                Ok(None) => unreachable!("a one-node walk never forks"),
+                Err(e) => return Err(e),
             }
         }
         self.run_trajectories(&circuit, repetitions)
     }
 
-    /// Applies the opportunistic circuit transformations selected by the
-    /// options: the full optimizer pipeline when `optimize` is set,
-    /// otherwise single-qubit gate fusion when `fuse_gates` is set.
+    /// Applies the optimizer pipeline when `optimize` is set.
     fn prepared<'a>(&self, circuit: &'a Circuit) -> std::borrow::Cow<'a, Circuit> {
-        if let Some(config) = &self.options.optimize {
-            std::borrow::Cow::Owned(bgls_circuit::optimize(circuit, config).0)
-        } else if self.options.fuse_gates {
-            std::borrow::Cow::Owned(bgls_circuit::fuse(circuit))
-        } else {
-            std::borrow::Cow::Borrowed(circuit)
+        match &self.options.optimize {
+            Some(config) => std::borrow::Cow::Owned(bgls_circuit::optimize(circuit, config).0),
+            None => std::borrow::Cow::Borrowed(circuit),
         }
     }
 
@@ -417,11 +386,10 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// result of a standalone [`Simulator::run`] of the resolved circuit
     /// under that derived seed: resolvers never share RNG state, distinct
     /// grid points get statistically independent streams even when they
-    /// resolve to the same circuit, and with
-    /// [`SimulatorOptions::parallel_sweep`] the Rayon fan-out is
-    /// bit-identical to the sequential loop. With `seed: None` the sweep
-    /// is *internally* deterministic (serial vs parallel agree within the
-    /// call) but two sweep calls draw different bases.
+    /// resolve to the same circuit, and the Rayon fan-out across
+    /// resolvers is bit-identical to a sequential loop. With
+    /// `seed: None` the sweep is *internally* deterministic but two sweep
+    /// calls draw different bases.
     pub fn run_sweep(
         &self,
         circuit: &Circuit,
@@ -429,18 +397,16 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         repetitions: u64,
     ) -> Result<Vec<RunResult>, SimError> {
         let base = self.sample_base_seed();
-        let run_one = |(i, r): (usize, &bgls_circuit::ParamResolver)| {
-            let mut sim = self.clone();
-            sim.options.seed = Some(stream_seed(base, i as u64));
-            sim.run(&circuit.resolve(r), repetitions)
-        };
-        if self.options.parallel_sweep && resolvers.len() > 1 {
-            let indexed: Vec<(usize, &bgls_circuit::ParamResolver)> =
-                resolvers.iter().enumerate().collect();
-            indexed.par_iter().map(|&entry| run_one(entry)).collect()
-        } else {
-            resolvers.iter().enumerate().map(run_one).collect()
-        }
+        let indexed: Vec<(usize, &bgls_circuit::ParamResolver)> =
+            resolvers.iter().enumerate().collect();
+        indexed
+            .par_iter()
+            .map(|&(i, r)| {
+                let mut sim = self.clone();
+                sim.options.seed = Some(stream_seed(base, i as u64));
+                sim.run(&circuit.resolve(r), repetitions)
+            })
+            .collect()
     }
 
     /// Runs a batch of already-resolved circuits in one fan-out, each
@@ -452,24 +418,19 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// runs under exactly its own seed rather than a position-derived
     /// stream. Entry `i` is bit-identical to
     /// `self.clone()` with `options.seed = jobs[i].1` running
-    /// `jobs[i].0` standalone, whether or not
-    /// [`SimulatorOptions::parallel_sweep`] spreads the batch across
-    /// Rayon threads.
+    /// `jobs[i].0` standalone; the batch fans out across Rayon threads.
     pub fn run_batch(
         &self,
         jobs: &[(Circuit, Option<u64>)],
         repetitions: u64,
     ) -> Result<Vec<RunResult>, SimError> {
-        let run_one = |(circuit, seed): &(Circuit, Option<u64>)| {
-            let mut sim = self.clone();
-            sim.options.seed = *seed;
-            sim.run(circuit, repetitions)
-        };
-        if self.options.parallel_sweep && jobs.len() > 1 {
-            jobs.par_iter().map(run_one).collect()
-        } else {
-            jobs.iter().map(run_one).collect()
-        }
+        jobs.par_iter()
+            .map(|(circuit, seed)| {
+                let mut sim = self.clone();
+                sim.options.seed = *seed;
+                sim.run(circuit, repetitions)
+            })
+            .collect()
     }
 
     /// Samples `repetitions` bitstrings from the circuit's *final* state
@@ -482,44 +443,26 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     ) -> Result<Vec<BitString>, SimError> {
         self.check_runnable(circuit)?;
         let stripped = self.prepared(&circuit.without_measurements()).into_owned();
-        let n = self.initial_state.num_qubits();
         if self.can_parallelize(&stripped) {
-            let mut rng = self.make_rng();
-            let map = self.evolve_multiplicity_map(&stripped, repetitions, &mut rng)?;
-            let mut out = Vec::with_capacity(repetitions as usize);
-            let mut entries: Vec<(BitString, u64)> = map.into_iter().collect();
+            let mut unused = RunResult::new(repetitions);
+            let nodes = self
+                .run_forest(&stripped, repetitions, &mut unused)?
+                .expect("a one-node walk never forks");
+            let mut entries: Vec<(BitString, u64)> =
+                nodes.into_iter().flat_map(|node| node.map).collect();
             entries.sort_unstable();
+            let mut out = Vec::with_capacity(repetitions as usize);
             for (b, m) in entries {
                 out.extend(std::iter::repeat_n(b, m as usize));
             }
-            Ok(out)
-        } else {
-            let seed = self.sample_base_seed();
-            let supports = op_supports(&stripped);
-            let run_chunk = |reps: std::ops::Range<u64>| -> Result<Vec<BitString>, SimError> {
-                let mut scratch = self.initial_state.clone();
-                let mut out = Vec::with_capacity((reps.end - reps.start) as usize);
-                for rep in reps {
-                    let mut rng = rep_rng(seed, rep);
-                    out.push(self.trajectory_once(
-                        &stripped,
-                        &supports,
-                        &mut scratch,
-                        n,
-                        &mut rng,
-                    )?);
-                }
-                Ok(out)
-            };
-            match rep_chunks(repetitions, self.options.parallel_trajectories) {
-                Some(chunks) => {
-                    let parts: Result<Vec<Vec<BitString>>, SimError> =
-                        chunks.into_par_iter().map(run_chunk).collect();
-                    Ok(parts?.into_iter().flatten().collect())
-                }
-                None => run_chunk(0..repetitions),
-            }
+            return Ok(out);
         }
+        let supports = op_supports(&stripped);
+        let parts = self.replay(repetitions, Vec::new, |out, scratch, rng| {
+            out.push(self.trajectory(&stripped, &supports, scratch, rng, true, &mut |_, _| {})?);
+            Ok(())
+        })?;
+        Ok(parts.concat())
     }
 
     fn sample_base_seed(&self) -> u64 {
@@ -598,29 +541,20 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// analogue of [`Simulator::run_sweep`], and the scoring loop of
     /// variational workflows (QAOA energy landscapes).
     ///
-    /// With [`SimulatorOptions::parallel_sweep`] the resolvers fan out
-    /// across Rayon threads; the exact walk consumes no randomness, so
-    /// each entry is a pure function of its resolved circuit and the
-    /// sweep is bit-identical serial vs parallel regardless of the seed
-    /// (including `seed: None` — unlike [`Simulator::run_sweep`], no
-    /// entropy is ever drawn).
+    /// The resolvers fan out across Rayon threads; the exact walk
+    /// consumes no randomness, so each entry is a pure function of its
+    /// resolved circuit regardless of the seed (including `seed: None` —
+    /// unlike [`Simulator::run_sweep`], no entropy is ever drawn).
     pub fn expectation_sweep(
         &self,
         circuit: &Circuit,
         resolvers: &[bgls_circuit::ParamResolver],
         observable: &PauliSum,
     ) -> Result<Vec<f64>, SimError> {
-        if self.options.parallel_sweep && resolvers.len() > 1 {
-            resolvers
-                .par_iter()
-                .map(|r| self.expectation_value(&circuit.resolve(r), observable))
-                .collect()
-        } else {
-            resolvers
-                .iter()
-                .map(|r| self.expectation_value(&circuit.resolve(r), observable))
-                .collect()
-        }
+        resolvers
+            .par_iter()
+            .map(|r| self.expectation_value(&circuit.resolve(r), observable))
+            .collect()
     }
 
     /// Walks the circuit maintaining a frontier of `(weight, state)`
@@ -821,187 +755,36 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         })
     }
 
-    // ---- sample-parallelized path -------------------------------------
+    // ---- frontier walk ---------------------------------------------------
 
-    fn run_parallel_samples(
+    /// One gate-by-gate step on a node: apply the operation once with the
+    /// node's RNG, then redistribute every unique bitstring's
+    /// multiplicity across its candidates over `support`.
+    fn advance(
         &self,
-        circuit: &Circuit,
-        repetitions: u64,
-    ) -> Result<RunResult, SimError> {
-        let mut rng = self.make_rng();
-        let mut result = RunResult::new(repetitions);
-        let mut state = self.initial_state.clone();
-        let n = self.initial_state.num_qubits();
-        let mut map: FxHashMap<BitString, u64> = FxHashMap::default();
-        map.insert(BitString::zeros(n), repetitions);
-
-        for op in circuit.all_operations() {
-            match &op.kind {
-                OpKind::Measure { key } => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    for (b, m) in &map {
-                        result.record(key, b.restrict(&qs), *m);
-                    }
-                }
-                _ => {
-                    self.step_multiplicity_map(&mut state, op, &mut map, &mut rng)?;
-                }
-            }
-        }
-        Ok(result)
-    }
-
-    /// Evolves the multiplicity map over all non-measurement operations and
-    /// returns the final map.
-    fn evolve_multiplicity_map(
-        &self,
-        circuit: &Circuit,
-        repetitions: u64,
-        rng: &mut StdRng,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let n = self.initial_state.num_qubits();
-        let mut state = self.initial_state.clone();
-        let mut map: FxHashMap<BitString, u64> = FxHashMap::default();
-        map.insert(BitString::zeros(n), repetitions);
-        for op in circuit.all_operations() {
-            if op.is_measurement() {
-                continue;
-            }
-            self.step_multiplicity_map(&mut state, op, &mut map, rng)?;
-        }
-        Ok(map)
-    }
-
-    /// Evaluates the candidate probabilities through the batched hook
-    /// when installed and enabled, else through the scalar hook. Both
-    /// paths return bit-identical values (the [`BatchProbFn`] contract),
-    /// so the choice never changes seeded samples.
-    fn candidate_probs(&self, state: &S, candidates: &[BitString]) -> Vec<f64> {
-        match &self.compute_probabilities_batch {
-            Some(batch) if self.options.batch_probabilities => batch(state, candidates),
-            _ => candidates
-                .iter()
-                .map(|&c| (self.compute_probability)(state, c))
-                .collect(),
-        }
-    }
-
-    /// One gate-by-gate step on the whole multiplicity map: apply the
-    /// operation once, then redistribute every unique bitstring's
-    /// multiplicity across its candidates.
-    ///
-    /// One `u64` is drawn from the step RNG per operation; each map entry
-    /// then splits its multiplicity with its own SplitMix stream keyed by
-    /// `(step seed, entry bitstring)`, so the redistribution is
-    /// independent of entry order and thread count — the batched,
-    /// scalar, Rayon, and sequential variants all produce bit-identical
-    /// maps.
-    fn step_multiplicity_map(
-        &self,
-        state: &mut S,
+        node: &mut ForestNode<S>,
         op: &Operation,
-        map: &mut FxHashMap<BitString, u64>,
-        rng: &mut StdRng,
+        support: &[usize],
     ) -> Result<(), SimError> {
-        (self.apply_op)(state, op, rng)?;
+        (self.apply_op)(&mut node.state, op, &mut node.rng)?;
         if self.skip_update(op) {
             return Ok(());
         }
-        let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-        let step_seed: u64 = rng.gen();
-        *map = self.redistribute(state, &support, step_seed, map)?;
-        Ok(())
+        self.redistribute(node, support)
     }
 
     /// Redistributes every map entry's multiplicity across its candidate
-    /// set — through the batched hook when installed and enabled, else
-    /// the scalar loop. Both variants are bit-identical (see
-    /// [`Simulator::step_multiplicity_map`]).
-    fn redistribute(
-        &self,
-        state: &S,
-        support: &[usize],
-        step_seed: u64,
-        map: &FxHashMap<BitString, u64>,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let batch_hook = match &self.compute_probabilities_batch {
-            Some(hook) if self.options.batch_probabilities => Some(hook),
-            _ => None,
-        };
-        match batch_hook {
-            Some(hook) => self.step_map_batched(state, support, step_seed, map, hook),
-            None => self.step_map_scalar(state, support, step_seed, map),
-        }
-    }
-
-    /// True when this redistribution should fan out across Rayon threads.
-    fn redistribute_in_parallel(&self, n_entries: usize) -> bool {
-        const PARALLEL_ENTRY_THRESHOLD: usize = 64;
-        self.options.parallel_redistribution
-            && rayon::current_num_threads() > 1
-            && n_entries >= PARALLEL_ENTRY_THRESHOLD
-    }
-
-    /// Scalar redistribution: the paper's per-candidate
-    /// `compute_probability` loop, one hook call per candidate per entry.
-    fn step_map_scalar(
-        &self,
-        state: &S,
-        support: &[usize],
-        step_seed: u64,
-        map: &FxHashMap<BitString, u64>,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let csize = 1usize << support.len();
-        let split_chunk = |entries: &[(BitString, u64)],
-                           sink: &mut dyn FnMut(BitString, u64)|
-         -> Result<(), SimError> {
-            let mut probs = Vec::with_capacity(csize);
-            let mut counts = vec![0u64; csize];
-            for &(b, m) in entries {
-                let mut entry_rng = rep_rng(step_seed, b.as_u64());
-                let candidates = b.candidates(support);
-                probs.clear();
-                probs.extend(
-                    candidates
-                        .iter()
-                        .map(|c| (self.compute_probability)(state, *c)),
-                );
-                multinomial_split_into(m, &probs, &mut entry_rng, &mut counts)?;
-                for (c, &cnt) in candidates.iter().zip(&counts) {
-                    if cnt > 0 {
-                        sink(*c, cnt);
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        let entries: Vec<(BitString, u64)> = map.iter().map(|(&b, &m)| (b, m)).collect();
-        let parallel = self.redistribute_in_parallel(entries.len());
-        let mut next: FxHashMap<BitString, u64> = FxHashMap::default();
-        next.reserve(entries.len());
-        run_split(&entries, &split_chunk, parallel, &mut |c, cnt| {
-            *next.entry(c).or_insert(0) += cnt;
-        })?;
-        Ok(next)
-    }
-
-    /// Batched redistribution: gathers the candidate sets of a whole run
-    /// of map entries into one buffer, evaluates them with a single
-    /// batched-hook call, then splits each entry against its probability
-    /// slice. Amortizes candidate-index arithmetic (one offset table per
-    /// operation instead of per entry) and eliminates every per-entry
-    /// allocation of the scalar loop. Candidate order per entry matches
-    /// [`BitString::candidates`], so the chained-binomial splits consume
-    /// their per-entry RNG streams exactly as the scalar path does.
-    fn step_map_batched(
-        &self,
-        state: &S,
-        support: &[usize],
-        step_seed: u64,
-        map: &FxHashMap<BitString, u64>,
-        hook: &BatchProbFn<S>,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
+    /// set: gathers the candidate sets of a run of entries into one
+    /// buffer, evaluates them with a single batched-hook call, then
+    /// splits each entry against its probability slice.
+    ///
+    /// One `u64` step seed is drawn from the node's RNG; each entry then
+    /// splits its multiplicity with its own SplitMix stream keyed by
+    /// `(step seed, entry bitstring)`, so the redistribution is
+    /// independent of entry order and thread count.
+    fn redistribute(&self, node: &mut ForestNode<S>, support: &[usize]) -> Result<(), SimError> {
+        let step_seed: u64 = node.rng.gen();
+        let state = &node.state;
         let width = self.initial_state.num_qubits();
         let csize = 1usize << support.len();
         // offsets[v] scatters candidate index v onto the support qubits;
@@ -1031,7 +814,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                         .map(|&o| BitString::from_u64(width, base | o)),
                 );
             }
-            let probs = hook(state, &candidates);
+            let probs = (self.compute_probabilities)(state, &candidates);
             debug_assert_eq!(probs.len(), candidates.len());
             let mut counts = vec![0u64; csize];
             for (i, (b, m)) in entries.iter().enumerate() {
@@ -1051,8 +834,10 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             Ok(())
         };
 
-        let entries: Vec<(BitString, u64)> = map.iter().map(|(&b, &m)| (b, m)).collect();
-        let go_parallel = self.redistribute_in_parallel(entries.len());
+        let entries: Vec<(BitString, u64)> = node.map.iter().map(|(&b, &m)| (b, m)).collect();
+        const PARALLEL_ENTRY_THRESHOLD: usize = 64;
+        let go_parallel =
+            rayon::current_num_threads() > 1 && entries.len() >= PARALLEL_ENTRY_THRESHOLD;
 
         // Candidates of different entries frequently coincide; when the
         // candidate volume is a sizable fraction of the value space,
@@ -1065,70 +850,69 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         const DENSE_WIDTH_LIMIT: usize = 20;
         let use_dense = width <= DENSE_WIDTH_LIMIT
             && (1usize << width) <= entries.len().saturating_mul(csize).saturating_mul(4);
+        let mut next: FxHashMap<BitString, u64> = FxHashMap::default();
         if use_dense {
             let mut dense = vec![0u64; 1usize << width];
             run_split(&entries, &split_chunk, go_parallel, &mut |c, cnt| {
                 dense[c.as_u64() as usize] += cnt;
             })?;
-            let populated = dense.iter().filter(|&&cnt| cnt > 0).count();
-            let mut next: FxHashMap<BitString, u64> = FxHashMap::default();
-            next.reserve(populated);
+            next.reserve(dense.iter().filter(|&&cnt| cnt > 0).count());
             for (v, &cnt) in dense.iter().enumerate() {
                 if cnt > 0 {
                     next.insert(BitString::from_u64(width, v as u64), cnt);
                 }
             }
-            return Ok(next);
+        } else {
+            next.reserve(entries.len());
+            run_split(&entries, &split_chunk, go_parallel, &mut |c, cnt| {
+                *next.entry(c).or_insert(0) += cnt;
+            })?;
         }
-
-        let mut next: FxHashMap<BitString, u64> = FxHashMap::default();
-        next.reserve(entries.len());
-        run_split(&entries, &split_chunk, go_parallel, &mut |c, cnt| {
-            *next.entry(c).or_insert(0) += cnt;
-        })?;
-        Ok(next)
+        node.map = next;
+        Ok(())
     }
 
     fn skip_update(&self, op: &Operation) -> bool {
         self.options.skip_diagonal_updates && op.as_gate().map(Gate::is_diagonal).unwrap_or(false)
     }
 
-    // ---- trajectory-forest path ----------------------------------------
-
-    /// Runs the circuit through the trajectory-forest engine: a frontier
-    /// of `(state, multiplicity-map)` nodes sharing every deterministic
-    /// prefix of their branch histories. Returns `Ok(None)` when the
-    /// frontier outgrew [`SimulatorOptions::max_forest_nodes`] (the
-    /// caller replays instead).
+    /// Walks the circuit with a frontier of `(state, multiplicity-map)`
+    /// nodes sharing every deterministic prefix of their branch
+    /// histories, recording measurements into `result`. Returns the final
+    /// frontier, or `Ok(None)` when it outgrew
+    /// [`SimulatorOptions::max_forest_nodes`] (the caller replays
+    /// instead).
     ///
-    /// Determinism: every node carries a SplitMix stream key derived from
-    /// the base seed and its branch history ([`stream_seed`]); all
-    /// randomness — redistribution step seeds, branch multinomials —
-    /// is a pure function of `(stream, op index)`, so histograms are
-    /// bit-identical across thread counts and across the batched /
-    /// scalar probability paths.
+    /// When [`Simulator::can_parallelize`] holds, the walk starts from
+    /// one node and never forks: it is the sample-parallelized path, and
+    /// custom hooks are fine. Forks (stochastic channels, interior
+    /// measurements) call the state's branch methods directly and are
+    /// reached only under [`Simulator::can_forest`].
+    ///
+    /// Determinism: the root node's RNG is seeded like [`Simulator`]'s
+    /// sequential RNG; fork children are seeded from a parent draw through
+    /// [`stream_seed`]. Every node's RNG is advanced only by its own
+    /// operations, so results are bit-identical across thread counts.
     fn run_forest(
         &self,
         circuit: &Circuit,
         repetitions: u64,
-    ) -> Result<Option<RunResult>, SimError> {
+        result: &mut RunResult,
+    ) -> Result<Option<Vec<ForestNode<S>>>, SimError> {
         let n = self.initial_state.num_qubits();
         let terminal = circuit.measurements_are_terminal();
-        let op_count = circuit.all_operations().count() as u64;
-        let seed = self.sample_base_seed();
-        let mut result = RunResult::new(repetitions);
+        let op_count = circuit.all_operations().count();
         let mut root_map: FxHashMap<BitString, u64> = FxHashMap::default();
         root_map.insert(BitString::zeros(n), repetitions);
         let mut nodes = vec![ForestNode {
             state: self.initial_state.clone(),
             map: root_map,
-            stream: seed,
+            rng: self.make_rng(),
         }];
         for (t, op) in circuit.all_operations().enumerate() {
-            let t = t as u64;
-            match &op.kind {
+            let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+            let forked = match &op.kind {
                 OpKind::Measure { key } => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
                     for node in &nodes {
                         for (b, m) in &node.map {
                             result.record(key, b.restrict(&qs), *m);
@@ -1137,85 +921,53 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                     // No operation consumes the post-measurement state
                     // after the final op, so only interior measurements
                     // fork.
-                    if !terminal && t + 1 < op_count {
-                        match self.forest_collapse(nodes, &qs, t)? {
-                            Some(next) => nodes = next,
-                            None => return Ok(None),
-                        }
+                    if terminal || t + 1 == op_count {
+                        continue;
                     }
+                    self.forest_collapse(nodes, &qs)?
                 }
                 OpKind::Channel(ch) if !self.initial_state.channels_are_deterministic() => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    match self.forest_branch(nodes, ch, &qs, t)? {
-                        Some(next) => nodes = next,
-                        None => return Ok(None),
-                    }
+                    self.forest_branch(nodes, ch, &qs)?
                 }
                 _ => {
-                    nodes = self.forest_step(nodes, op, t)?;
+                    self.forest_map_mut(&mut nodes, |node| self.advance(node, op, &qs))?;
+                    continue;
                 }
+            };
+            match forked {
+                Some(next) => nodes = next,
+                None => return Ok(None),
             }
         }
-        Ok(Some(result))
+        Ok(Some(nodes))
     }
 
-    /// True when a frontier sweep should fan out across Rayon threads.
-    fn forest_in_parallel(&self, n_items: usize) -> bool {
-        self.options.parallel_trajectories && n_items > 1 && rayon::current_num_threads() > 1
-    }
-
-    /// Maps a fallible function over frontier items, across Rayon threads
-    /// when enabled. Everything mapped here derives its randomness from
-    /// per-item stream keys, so the sweep order never affects results.
+    /// Runs `f` on every frontier item, across Rayon threads when there
+    /// is more than one item. Everything mapped here draws its randomness
+    /// from the item's own RNG, so the sweep order never affects results.
     fn forest_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>, SimError>
     where
         T: Send,
         U: Send,
         F: Fn(T) -> Result<U, SimError> + Sync,
     {
-        if self.forest_in_parallel(items.len()) {
+        if items.len() > 1 && rayon::current_num_threads() > 1 {
             items.into_par_iter().map(&f).collect()
         } else {
             items.into_iter().map(&f).collect()
         }
     }
 
-    /// Deterministic forest advance: apply the operation to every node
-    /// once and redistribute its map, exactly as the single-state
-    /// sample-parallelized path does — but with the step seed derived
-    /// from the node's stream instead of a shared sequential RNG.
-    fn forest_step(
-        &self,
-        mut nodes: Vec<ForestNode<S>>,
-        op: &Operation,
-        t: u64,
-    ) -> Result<Vec<ForestNode<S>>, SimError> {
-        let advance = |node: &mut ForestNode<S>| -> Result<(), SimError> {
-            // Hook-compatible RNG; the default hook draws nothing for
-            // gates, and deterministic channels ignore it.
-            let mut rng = rep_rng(node.stream, t);
-            (self.apply_op)(&mut node.state, op, &mut rng)?;
-            if self.skip_update(op) {
-                return Ok(());
-            }
-            let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-            node.map = self.redistribute(
-                &node.state,
-                &support,
-                stream_seed(node.stream, t),
-                &node.map,
-            )?;
-            Ok(())
-        };
-        if self.forest_in_parallel(nodes.len()) {
-            let results: Result<Vec<()>, SimError> = nodes.par_iter_mut().map(&advance).collect();
-            results?;
+    /// In-place form of [`Simulator::forest_map`].
+    fn forest_map_mut<F>(&self, nodes: &mut [ForestNode<S>], f: F) -> Result<(), SimError>
+    where
+        F: Fn(&mut ForestNode<S>) -> Result<(), SimError> + Sync,
+    {
+        if nodes.len() > 1 && rayon::current_num_threads() > 1 {
+            nodes.par_iter_mut().map(&f).collect()
         } else {
-            for node in &mut nodes {
-                advance(node)?;
-            }
+            nodes.iter_mut().try_for_each(&f)
         }
-        Ok(nodes)
     }
 
     /// Stochastic-channel branch point: every node splits each map
@@ -1235,21 +987,15 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         nodes: Vec<ForestNode<S>>,
         channel: &Channel,
         support: &[usize],
-        t: u64,
     ) -> Result<Option<Vec<ForestNode<S>>>, SimError> {
-        struct Plan<S> {
-            state: S,
-            branch_seed: u64,
-            branch_maps: Vec<FxHashMap<BitString, u64>>,
-        }
-        let plans: Vec<Plan<S>> = self.forest_map(nodes, |node| {
+        let plans = self.forest_map(nodes, |mut node| {
             let probs = node.state.kraus_branch_probabilities(channel, support)?;
-            let branch_seed = stream_seed(node.stream, t);
+            let split_seed: u64 = node.rng.gen();
             let mut branch_maps: Vec<FxHashMap<BitString, u64>> =
                 vec![FxHashMap::default(); probs.len()];
             let mut counts = Vec::new();
             for (&b, &m) in &node.map {
-                let mut entry_rng = rep_rng(branch_seed, b.as_u64());
+                let mut entry_rng = rep_rng(split_seed, b.as_u64());
                 multinomial_split_into(m, &probs, &mut entry_rng, &mut counts)?;
                 for (j, &cnt) in counts.iter().enumerate() {
                     if cnt > 0 {
@@ -1257,44 +1003,21 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                     }
                 }
             }
-            Ok(Plan {
-                state: node.state,
-                branch_seed,
-                branch_maps,
-            })
+            let outcomes: Vec<(u64, FxHashMap<BitString, u64>)> = branch_maps
+                .into_iter()
+                .enumerate()
+                .filter(|(_, map)| !map.is_empty())
+                .map(|(j, map)| (j as u64, map))
+                .collect();
+            Ok(ForkPlan::new(node, outcomes))
         })?;
-        let children_total: usize = plans
-            .iter()
-            .map(|p| p.branch_maps.iter().filter(|m| !m.is_empty()).count())
-            .sum();
-        if children_total > self.options.max_forest_nodes {
-            return Ok(None);
-        }
-        let parts = self.forest_map(plans, |plan| {
-            let occupied = plan.branch_maps.iter().filter(|m| !m.is_empty()).count();
-            let mut parent = Some(plan.state);
-            let mut remaining = occupied;
-            let mut children = Vec::with_capacity(occupied);
-            for (j, map) in plan.branch_maps.into_iter().enumerate() {
-                if map.is_empty() {
-                    continue;
-                }
-                remaining -= 1;
-                let mut state = if remaining == 0 {
-                    // the last child takes the parent state without a copy
-                    parent.take().expect("parent state")
-                } else {
-                    parent.as_ref().expect("parent state").clone()
-                };
-                state.apply_kraus_branch(channel, j, support)?;
-                let stream = stream_seed(plan.branch_seed, 1 + j as u64);
-                // the BGLS bitstring update after the channel application
-                let map = self.redistribute(&state, support, stream_seed(stream, t), &map)?;
-                children.push(ForestNode { state, map, stream });
-            }
-            Ok(children)
-        })?;
-        Ok(Some(parts.into_iter().flatten().collect()))
+        self.fork(plans, |child, j| {
+            child
+                .state
+                .apply_kraus_branch(channel, j as usize, support)?;
+            // the BGLS bitstring update after the channel application
+            self.redistribute(child, support)
+        })
     }
 
     /// Mid-circuit-measurement fork: a node's entries are grouped by
@@ -1308,14 +1031,8 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         &self,
         nodes: Vec<ForestNode<S>>,
         support: &[usize],
-        t: u64,
     ) -> Result<Option<Vec<ForestNode<S>>>, SimError> {
-        struct Plan<S> {
-            state: S,
-            fork_seed: u64,
-            outcomes: Vec<(u64, FxHashMap<BitString, u64>)>,
-        }
-        let plans: Vec<Plan<S>> = self.forest_map(nodes, |node| {
+        let plans = self.forest_map(nodes, |node| {
             let mut groups: FxHashMap<u64, FxHashMap<BitString, u64>> = FxHashMap::default();
             for (&b, &m) in &node.map {
                 groups
@@ -1325,12 +1042,30 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             }
             let mut outcomes: Vec<(u64, FxHashMap<BitString, u64>)> = groups.into_iter().collect();
             outcomes.sort_unstable_by_key(|&(v, _)| v);
-            Ok(Plan {
-                fork_seed: stream_seed(node.stream, t),
-                state: node.state,
-                outcomes,
-            })
+            Ok(ForkPlan::new(node, outcomes))
         })?;
+        self.fork(plans, |child, v| {
+            for (j, &q) in support.iter().enumerate() {
+                child.state.project(q, (v >> j) & 1 == 1)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Materializes planned forks: checks the prospective frontier
+    /// against [`SimulatorOptions::max_forest_nodes`] (`Ok(None)` when it
+    /// does not fit), then gives every outcome a child node — the last
+    /// child of each parent takes the parent state without a copy — with
+    /// an RNG seeded from `stream_seed(parent draw, outcome)`, and
+    /// finishes it with `branch(child, outcome)`.
+    fn fork<F>(
+        &self,
+        plans: Vec<ForkPlan<S>>,
+        branch: F,
+    ) -> Result<Option<Vec<ForestNode<S>>>, SimError>
+    where
+        F: Fn(&mut ForestNode<S>, u64) -> Result<(), SimError> + Sync,
+    {
         let children_total: usize = plans.iter().map(|p| p.outcomes.len()).sum();
         if children_total > self.options.max_forest_nodes {
             return Ok(None);
@@ -1340,115 +1075,96 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             let mut parent = Some(plan.state);
             let mut children = Vec::with_capacity(total);
             for (i, (v, map)) in plan.outcomes.into_iter().enumerate() {
-                let mut state = if i + 1 == total {
+                let state = if i + 1 == total {
                     parent.take().expect("parent state")
                 } else {
                     parent.as_ref().expect("parent state").clone()
                 };
-                for (j, &q) in support.iter().enumerate() {
-                    state.project(q, (v >> j) & 1 == 1)?;
-                }
-                children.push(ForestNode {
+                let mut child = ForestNode {
                     state,
                     map,
-                    stream: stream_seed(plan.fork_seed, 1 + v),
-                });
+                    rng: rep_rng(plan.fork_seed, v),
+                };
+                branch(&mut child, v)?;
+                children.push(child);
             }
             Ok(children)
         })?;
         Ok(Some(parts.into_iter().flatten().collect()))
     }
 
-    // ---- trajectory path ----------------------------------------------
+    // ---- replay path --------------------------------------------------
 
     fn run_trajectories(&self, circuit: &Circuit, repetitions: u64) -> Result<RunResult, SimError> {
-        let n = self.initial_state.num_qubits();
-        let terminal = circuit.measurements_are_terminal();
-        let seed = self.sample_base_seed();
         let supports = op_supports(circuit);
+        let terminal = circuit.measurements_are_terminal();
+        let parts = self.replay(
+            repetitions,
+            || RunResult::new(0),
+            |result, scratch, rng| {
+                let mut record = |key: &str, outcome: BitString| result.record(key, outcome, 1);
+                self.trajectory(circuit, &supports, scratch, rng, terminal, &mut record)
+                    .map(|_| ())
+            },
+        )?;
+        let mut total = RunResult::new(0);
+        for part in parts {
+            total.merge(part);
+        }
+        // merge() sums the per-chunk counts; report the true total
+        Ok(total.with_repetitions(repetitions))
+    }
 
-        // One scratch state per chunk: trajectories reuse its buffers via
-        // `clone_from` instead of allocating a fresh state every rep.
-        let run_chunk = |reps: std::ops::Range<u64>| -> Result<RunResult, SimError> {
-            let mut result = RunResult::new(0);
+    /// Replays repetitions `0..repetitions`, each with its own RNG keyed
+    /// by the absolute repetition index, in one contiguous range per
+    /// Rayon thread. Each range reuses one scratch state and folds its
+    /// repetitions into an accumulator from `init` via `each`; the
+    /// accumulators come back in repetition order, so the chunking never
+    /// changes results.
+    fn replay<T, I, F>(&self, repetitions: u64, init: I, each: F) -> Result<Vec<T>, SimError>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, &mut S, &mut StdRng) -> Result<(), SimError> + Sync,
+    {
+        let seed = self.sample_base_seed();
+        let run_chunk = |reps: std::ops::Range<u64>| -> Result<T, SimError> {
+            let mut acc = init();
             let mut scratch = self.initial_state.clone();
             for rep in reps {
-                let mut rng = rep_rng(seed, rep);
-                let mut recorder = |key: &str, outcome: BitString| {
-                    result.record(key, outcome, 1);
-                };
-                self.trajectory_once_with_measure(
-                    circuit,
-                    &supports,
-                    &mut scratch,
-                    n,
-                    &mut rng,
-                    terminal,
-                    &mut recorder,
-                )?;
+                each(&mut acc, &mut scratch, &mut rep_rng(seed, rep))?;
             }
-            Ok(result)
+            Ok(acc)
         };
-
-        match rep_chunks(repetitions, self.options.parallel_trajectories) {
-            Some(chunks) => chunks
-                .into_par_iter()
-                .map(run_chunk)
-                .try_reduce(
-                    || RunResult::new(0),
-                    |mut a, b| {
-                        a.merge(b);
-                        Ok(a)
-                    },
-                )
-                // merge() sums the per-chunk counts; report the true total
-                .map(|r| r.with_repetitions(repetitions)),
-            None => run_chunk(0..repetitions).map(|r| r.with_repetitions(repetitions)),
+        let threads = rayon::current_num_threads() as u64;
+        if repetitions <= 1 || threads <= 1 {
+            return Ok(vec![run_chunk(0..repetitions)?]);
         }
+        let chunk_len = repetitions.div_ceil(threads);
+        let chunks: Vec<std::ops::Range<u64>> = (0..repetitions)
+            .step_by(chunk_len as usize)
+            .map(|start| start..(start + chunk_len).min(repetitions))
+            .collect();
+        chunks.into_par_iter().map(run_chunk).collect()
     }
 
-    /// Walks the circuit once into `state` (measurements skipped),
-    /// returning the final bitstring. `state` is overwritten via
-    /// `clone_from`, so callers can reuse one scratch state across
-    /// repetitions.
-    fn trajectory_once(
+    /// Walks the circuit once into `state`, recording each measurement's
+    /// outcome and — unless `terminal` says every measurement is
+    /// terminal — collapsing the state onto it, and returns the final
+    /// bitstring. `state` is
+    /// overwritten via `clone_from`, so callers can reuse one scratch
+    /// state across repetitions.
+    fn trajectory(
         &self,
         circuit: &Circuit,
         supports: &[Vec<usize>],
         state: &mut S,
-        n: usize,
-        rng: &mut StdRng,
-    ) -> Result<BitString, SimError> {
-        state.clone_from(&self.initial_state);
-        let mut b = BitString::zeros(n);
-        for (op, support) in circuit.all_operations().zip(supports) {
-            if op.is_measurement() {
-                continue;
-            }
-            (self.apply_op)(state, op, rng)?;
-            if !self.skip_update(op) {
-                b = self.resample(state, b, support, rng)?;
-            }
-        }
-        Ok(b)
-    }
-
-    /// Full trajectory including measurement recording and (when needed)
-    /// collapse. `state` is a reusable scratch buffer like in
-    /// [`Simulator::trajectory_once`].
-    #[allow(clippy::too_many_arguments)]
-    fn trajectory_once_with_measure(
-        &self,
-        circuit: &Circuit,
-        supports: &[Vec<usize>],
-        state: &mut S,
-        n: usize,
         rng: &mut StdRng,
         terminal: bool,
         record: &mut dyn FnMut(&str, BitString),
-    ) -> Result<(), SimError> {
+    ) -> Result<BitString, SimError> {
         state.clone_from(&self.initial_state);
-        let mut b = BitString::zeros(n);
+        let mut b = BitString::zeros(self.initial_state.num_qubits());
         for (op, support) in circuit.all_operations().zip(supports) {
             match &op.kind {
                 OpKind::Measure { key } => {
@@ -1469,7 +1185,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 }
             }
         }
-        Ok(())
+        Ok(b)
     }
 
     /// The core gate-by-gate update: resample the bitstring over the
@@ -1483,21 +1199,38 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         rng: &mut StdRng,
     ) -> Result<BitString, SimError> {
         let candidates = b.candidates(support);
-        let probs = self.candidate_probs(state, &candidates);
+        let probs = (self.compute_probabilities)(state, &candidates);
         let idx = categorical(&probs, rng)?;
         Ok(candidates[idx])
     }
 }
 
-/// One frontier node of the trajectory forest: a concrete state shared by
-/// every repetition whose branch history matches `stream`, plus the
-/// multiplicity map of those repetitions' bitstrings.
+/// One frontier node: a concrete state shared by every repetition with
+/// this node's branch history, the multiplicity map of those
+/// repetitions' bitstrings, and the node's own RNG.
 struct ForestNode<S> {
     state: S,
     map: FxHashMap<BitString, u64>,
-    /// SplitMix stream key encoding this node's branch history; all of
-    /// the node's randomness derives from `(stream, op index)`.
-    stream: u64,
+    rng: StdRng,
+}
+
+/// A node about to fork: its state, one seed drawn from its RNG for the
+/// children, and the `(outcome, multiplicity map)` of every nonempty
+/// branch.
+struct ForkPlan<S> {
+    state: S,
+    fork_seed: u64,
+    outcomes: Vec<(u64, FxHashMap<BitString, u64>)>,
+}
+
+impl<S> ForkPlan<S> {
+    fn new(mut node: ForestNode<S>, outcomes: Vec<(u64, FxHashMap<BitString, u64>)>) -> Self {
+        ForkPlan {
+            fork_seed: node.rng.gen(),
+            state: node.state,
+            outcomes,
+        }
+    }
 }
 
 /// Runs a redistribution splitter over `entries` and feeds every nonzero
@@ -1538,7 +1271,7 @@ where
 /// SplitMix-style separation. Distinct indices always yield distinct
 /// streams (the multiplier is odd, hence invertible mod 2^64), and the
 /// mix is a pure function, so keys can be chained into a *tree* of
-/// streams: the trajectory forest keys every node by its branch history
+/// streams: the frontier walk seeds every fork child from a parent draw
 /// this way, making results independent of scheduling and thread count.
 ///
 /// Public because callers that fan work out themselves (sweep batchers,
@@ -1554,32 +1287,11 @@ pub fn stream_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// RNG over a [`stream_seed`] stream. Used per repetition on the
-/// trajectory path, per map entry on the redistribution path, and per
-/// `(node, operation)` on the forest path.
+/// RNG over a [`stream_seed`] stream. Used per repetition on the replay
+/// path, per map entry on the redistribution path, and per fork child
+/// on the frontier walk.
 fn rep_rng(seed: u64, rep: u64) -> StdRng {
     StdRng::seed_from_u64(stream_seed(seed, rep))
-}
-
-/// Splits `0..repetitions` into one contiguous range per Rayon thread
-/// (replay-path chunking: each chunk reuses one scratch state). Returns
-/// `None` when the work should stay sequential. Per-repetition RNG
-/// streams are keyed by the absolute repetition index, so the chunking
-/// never changes results.
-fn rep_chunks(repetitions: u64, parallel: bool) -> Option<Vec<std::ops::Range<u64>>> {
-    let threads = rayon::current_num_threads() as u64;
-    if !parallel || repetitions <= 1 || threads <= 1 {
-        return None;
-    }
-    let chunk_len = repetitions.div_ceil(threads).max(1);
-    let mut chunks = Vec::with_capacity(threads as usize);
-    let mut start = 0;
-    while start < repetitions {
-        let end = (start + chunk_len).min(repetitions);
-        chunks.push(start..end);
-        start = end;
-    }
-    Some(chunks)
 }
 
 /// Each operation's support as state indices, in
@@ -1749,12 +1461,11 @@ mod tests {
     fn trajectory_path_matches_parallel_path_distribution() {
         let c = ghz(2);
         let par = Simulator::new(RefState::zero(2)).with_seed(1);
-        let mut opts = SimulatorOptions {
+        let opts = SimulatorOptions {
             parallelize_samples: false,
             seed: Some(2),
             ..Default::default()
         };
-        opts.parallel_trajectories = false;
         let traj = Simulator::new(RefState::zero(2)).with_options(opts);
         let hp = par.run(&c, 2000).unwrap();
         let ht = traj.run(&c, 2000).unwrap();
@@ -1829,7 +1540,6 @@ mod tests {
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
         let opts = SimulatorOptions {
             seed: Some(11),
-            parallel_trajectories: false,
             ..Default::default()
         };
         let sim = Simulator::new(RefState::zero(1)).with_options(opts);
@@ -1840,13 +1550,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trajectories_match_sequential_statistics() {
+    fn noisy_run_conserves_repetitions_and_flip_rate() {
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.5).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
         let opts = SimulatorOptions {
             seed: Some(21),
-            parallel_trajectories: true,
             ..Default::default()
         };
         let sim = Simulator::new(RefState::zero(1)).with_options(opts);
@@ -1868,7 +1577,6 @@ mod tests {
         c.push(Operation::measure(vec![Qubit(1)], "b").unwrap());
         let opts = SimulatorOptions {
             seed: Some(8),
-            parallel_trajectories: false,
             ..Default::default()
         };
         let sim = Simulator::new(RefState::zero(2)).with_options(opts);
@@ -1936,27 +1644,15 @@ mod tests {
         let resolvers: Vec<ParamResolver> = (0..6)
             .map(|i| ParamResolver::from_pairs([("t", 0.3 + 0.2 * i as f64)]))
             .collect();
-        let serial = Simulator::new(RefState::zero(2))
+        // the fanned-out sweep against a serial loop of standalone runs:
+        // entry i must equal a run under stream_seed(base, i)
+        let sweep = Simulator::new(RefState::zero(2))
             .with_seed(11)
             .run_sweep(&c, &resolvers, 500)
             .unwrap();
-        let mut opts = SimulatorOptions {
-            seed: Some(11),
-            parallel_sweep: true,
-            ..Default::default()
-        };
-        let parallel = Simulator::new(RefState::zero(2))
-            .with_options(opts.clone())
-            .run_sweep(&c, &resolvers, 500)
-            .unwrap();
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.histogram("m"), p.histogram("m"));
-        }
-        // entry i must equal a standalone run under stream_seed(base, i)
-        for (i, s) in serial.iter().enumerate() {
-            opts.seed = Some(stream_seed(11, i as u64));
+        for (i, s) in sweep.iter().enumerate() {
             let standalone = Simulator::new(RefState::zero(2))
-                .with_options(opts.clone())
+                .with_seed(stream_seed(11, i as u64))
                 .run(&c.resolve(&resolvers[i]), 500)
                 .unwrap();
             assert_eq!(s.histogram("m"), standalone.histogram("m"), "entry {i}");
@@ -2029,24 +1725,6 @@ mod tests {
             .run(&c3, 200)
             .unwrap();
         assert_eq!(solo[0].histogram("z"), standalone.histogram("z"));
-        // parallel fan-out agrees bit-for-bit
-        let par = Simulator::new(RefState::zero(3))
-            .with_options(SimulatorOptions {
-                parallel_sweep: true,
-                ..Default::default()
-            })
-            .run_batch(
-                &[
-                    (c2.clone(), Some(1)),
-                    (c3.clone(), Some(7)),
-                    (c3.clone(), Some(8)),
-                ],
-                200,
-            )
-            .unwrap();
-        for (a, b) in mixed.iter().zip(&par) {
-            assert_eq!(a.histogram("z"), b.histogram("z"));
-        }
     }
 
     #[test]
@@ -2139,40 +1817,46 @@ mod tests {
         c
     }
 
-    #[test]
-    fn parallel_and_serial_redistribution_are_bit_identical() {
-        let c = entangling_circuit(5);
-        let run = |parallel: bool| {
-            let opts = SimulatorOptions {
-                seed: Some(13),
-                parallel_redistribution: parallel,
-                ..Default::default()
-            };
-            Simulator::new(RefState::zero(5))
-                .with_options(opts)
-                .run(&c, 4000)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(a.histogram("z"), b.histogram("z"));
+    /// The default hooks, spelled out as `with_hooks` arguments; the
+    /// probability hook is scalar-only.
+    fn scalar_hooks() -> (ApplyFn<RefState>, ProbFn<RefState>) {
+        let apply: ApplyFn<RefState> = Arc::new(|s, op, rng| {
+            let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+            match &op.kind {
+                OpKind::Gate(g) => s.apply_gate(g, &qs),
+                OpKind::Channel(ch) => s.apply_kraus(ch, &qs, rng).map(|_| ()),
+                OpKind::Measure { .. } => Ok(()),
+            }
+        });
+        (apply, Arc::new(|s, b| s.probability(b)))
     }
 
     #[test]
     fn batch_and_scalar_probability_paths_are_bit_identical() {
+        // a scalar-only with_hooks simulator against Simulator::new, on
+        // the sample-parallel walk and on replay
         let c = entangling_circuit(4);
-        let run = |batch: bool| {
+        for parallelize_samples in [true, false] {
             let opts = SimulatorOptions {
                 seed: Some(29),
-                batch_probabilities: batch,
+                parallelize_samples,
                 ..Default::default()
             };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
-                .unwrap()
-        };
-        assert_eq!(run(true).histogram("z"), run(false).histogram("z"));
+            let (apply, prob) = scalar_hooks();
+            let scalar = Simulator::with_hooks(RefState::zero(4), apply, prob, false)
+                .with_options(opts.clone());
+            let batched = Simulator::new(RefState::zero(4)).with_options(opts);
+            assert_eq!(
+                scalar.run(&c, 3000).unwrap().histogram("z"),
+                batched.run(&c, 3000).unwrap().histogram("z"),
+                "parallelize_samples={parallelize_samples}"
+            );
+            assert_eq!(
+                scalar.sample_final_bitstrings(&c, 500).unwrap(),
+                batched.sample_final_bitstrings(&c, 500).unwrap(),
+                "parallelize_samples={parallelize_samples}"
+            );
+        }
     }
 
     #[test]
@@ -2190,69 +1874,45 @@ mod tests {
         assert!(BATCH_CALLS.load(Ordering::Relaxed) > 0);
     }
 
-    #[test]
-    fn fuse_gates_is_bit_identical_when_op_count_is_unchanged() {
-        // GHZ has no multi-gate single-qubit runs: fusion just rewraps H
-        // as the identical U1 matrix, so RNG consumption and probabilities
-        // match the unfused run exactly.
-        let c = ghz(3);
-        let run = |fuse: bool| {
-            let opts = SimulatorOptions {
-                seed: Some(41),
-                fuse_gates: fuse,
-                ..Default::default()
-            };
-            Simulator::new(RefState::zero(3))
-                .with_options(opts)
-                .run(&c, 2000)
-                .unwrap()
-        };
-        assert_eq!(run(true).histogram("z"), run(false).histogram("z"));
+    fn merge_1q(seed: u64) -> SimulatorOptions {
+        SimulatorOptions {
+            seed: Some(seed),
+            optimize: Some(bgls_circuit::OptimizeConfig {
+                merge_single_qubit_runs: true,
+                ..bgls_circuit::OptimizeConfig::off()
+            }),
+            ..Default::default()
+        }
     }
 
     #[test]
-    fn fuse_gates_preserves_distribution_on_single_qubit_runs() {
+    fn single_qubit_merge_preserves_distribution() {
         // H T H on one qubit fuses to a single U1; P(0) = cos^2(pi/8).
         let mut c = Circuit::new();
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::T, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(5),
-            fuse_gates: true,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_options(merge_1q(5));
         let r = sim.run(&c, 4000).unwrap();
         let f0 = r.histogram("m").unwrap().frequency(BitString::zeros(1));
         assert!((f0 - 0.8536).abs() < 0.03, "f0 = {f0}");
         // determinism: the fused run reproduces under the same seed
         let again = Simulator::new(RefState::zero(1))
-            .with_options(SimulatorOptions {
-                seed: Some(5),
-                fuse_gates: true,
-                ..Default::default()
-            })
+            .with_options(merge_1q(5))
             .run(&c, 4000)
             .unwrap();
         assert_eq!(r.histogram("m"), again.histogram("m"));
     }
 
     #[test]
-    fn fuse_gates_applies_on_the_trajectory_path_too() {
+    fn single_qubit_merge_applies_on_the_forest_path_too() {
         let mut c = Circuit::new();
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap()); // cancels
         c.push(Operation::channel(Channel::bit_flip(0.3).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(11),
-            fuse_gates: true,
-            parallel_trajectories: false,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_options(merge_1q(11));
         let r = sim.run(&c, 2000).unwrap();
         let flips = r.histogram("m").unwrap().count_value(1);
         assert!(flips > 450 && flips < 750, "flips = {flips}");
@@ -2310,40 +1970,22 @@ mod tests {
     }
 
     #[test]
-    fn forest_parallel_and_serial_are_bit_identical() {
-        let c = noisy_mid_circuit_circuit(4, 0.15);
-        let run = |parallel: bool| {
-            let opts = SimulatorOptions {
-                parallel_trajectories: parallel,
-                parallel_redistribution: parallel,
-                ..forest_opts(32)
-            };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(a.histogram("fin"), b.histogram("fin"));
-        assert_eq!(a.histogram("mid"), b.histogram("mid"));
-    }
-
-    #[test]
     fn forest_batched_and_scalar_are_bit_identical() {
         let c = noisy_mid_circuit_circuit(4, 0.15);
-        let run = |batch: bool| {
-            let opts = SimulatorOptions {
-                batch_probabilities: batch,
-                ..forest_opts(33)
-            };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(false);
+        // default hooks (so the forest engages) with a scalar-looping
+        // batch hook in place of the batched one
+        let (_, prob) = scalar_hooks();
+        let scalar: BatchProbFn<RefState> =
+            Arc::new(move |s, cands| cands.iter().map(|&b| prob(s, b)).collect());
+        let a = Simulator::new(RefState::zero(4))
+            .with_options(forest_opts(33))
+            .run(&c, 3000)
+            .unwrap();
+        let b = Simulator::new(RefState::zero(4))
+            .with_batch_hook(scalar)
+            .with_options(forest_opts(33))
+            .run(&c, 3000)
+            .unwrap();
         assert_eq!(a.histogram("fin"), b.histogram("fin"));
         assert_eq!(a.histogram("mid"), b.histogram("mid"));
     }
@@ -2440,34 +2082,6 @@ mod tests {
             hooked.run(&c, 500).unwrap().histogram("m"),
             replay.run(&c, 500).unwrap().histogram("m"),
         );
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        use bgls_circuit::{Param, ParamResolver};
-        let mut c = Circuit::new();
-        c.push(Operation::gate(Gate::Rx(Param::symbol("t")), vec![Qubit(0)]).unwrap());
-        c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
-        c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let resolvers: Vec<ParamResolver> = (0..6)
-            .map(|i| ParamResolver::from_pairs([("t", 0.3 * i as f64)]))
-            .collect();
-        let run = |parallel: bool| {
-            let opts = SimulatorOptions {
-                parallel_sweep: parallel,
-                ..forest_opts(38)
-            };
-            Simulator::new(RefState::zero(1))
-                .with_options(opts)
-                .run_sweep(&c, &resolvers, 600)
-                .unwrap()
-        };
-        let par = run(true);
-        let seq = run(false);
-        assert_eq!(par.len(), seq.len());
-        for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.histogram("m"), b.histogram("m"));
-        }
     }
 
     #[test]
@@ -2601,21 +2215,11 @@ mod tests {
             .iter()
             .map(|&t| ParamResolver::from_pairs([("t", t)]))
             .collect();
-        for parallel in [false, true] {
-            let sim = Simulator::new(RefState::zero(1)).with_options(SimulatorOptions {
-                parallel_sweep: parallel,
-                ..Default::default()
-            });
-            let sweep = sim.expectation_sweep(&c, &resolvers, &obs).unwrap();
-            // <Z> after Rx(t) is cos(t)
-            for (r, (e, t)) in sweep
-                .iter()
-                .zip([0.0, 0.5, 1.2, std::f64::consts::PI])
-                .enumerate()
-            {
-                let _ = r;
-                assert!((e - t.cos()).abs() < 1e-10, "Rx({t}): {e}");
-            }
+        let sim = Simulator::new(RefState::zero(1));
+        let sweep = sim.expectation_sweep(&c, &resolvers, &obs).unwrap();
+        // <Z> after Rx(t) is cos(t)
+        for (e, t) in sweep.iter().zip([0.0, 0.5, 1.2, std::f64::consts::PI]) {
+            assert!((e - t.cos()).abs() < 1e-10, "Rx({t}): {e}");
         }
     }
 

@@ -189,9 +189,8 @@ impl ExecutionPlan {
     /// result: the backend, the execution path, the result-affecting
     /// options, and the optimizer pipeline configuration (an optimized
     /// circuit executes a different gate sequence than its raw form, so
-    /// the two must never share a cache entry). Parallelism toggles are
-    /// excluded — the engine's determinism contract makes them
-    /// bit-identical. The path matters because a degraded
+    /// the two must never share a cache entry). The seed is not part of
+    /// it: it is a separate component of the cache key. The path matters because a degraded
     /// [`ExecPath::ShotEstimate`] produces different numbers than the
     /// exact walk on the same backend and options. This is the
     /// `backend` component of a serving-layer cache key.
@@ -203,7 +202,6 @@ impl ExecutionPlan {
         self.options.skip_diagonal_updates.hash(&mut h);
         self.options.trajectory_forest.hash(&mut h);
         self.options.max_forest_nodes.hash(&mut h);
-        self.options.fuse_gates.hash(&mut h);
         self.optimize.map(|c| c.fingerprint()).hash(&mut h);
         self.options.optimize.map(|c| c.fingerprint()).hash(&mut h);
         h.finish()
@@ -1099,10 +1097,16 @@ mod tests {
         let p1 = plan(&measured_ghz(4), &hist(), &PlannerConfig::default()).unwrap();
         let mut p2 = p1.clone();
         assert_eq!(p1.fingerprint(), p2.fingerprint());
-        p2.options.fuse_gates = true;
+        p2.options.optimize = Some(OptimizeConfig {
+            merge_single_qubit_runs: true,
+            ..OptimizeConfig::off()
+        });
         assert_ne!(p1.fingerprint(), p2.fingerprint());
         let mut p3 = p1.clone();
-        p3.options.parallel_trajectories = false; // bit-identical by contract
-        assert_eq!(p1.fingerprint(), p3.fingerprint());
+        p3.options.skip_diagonal_updates = !p3.options.skip_diagonal_updates;
+        assert_ne!(p1.fingerprint(), p3.fingerprint());
+        let mut p4 = p1.clone();
+        p4.options.seed = Some(7); // keyed separately from the plan
+        assert_eq!(p1.fingerprint(), p4.fingerprint());
     }
 }

@@ -79,13 +79,25 @@ enum SlotState {
 
 type Msg = (u64, SimRequest);
 
+/// What a service job id maps to when its result is published.
+enum Binding {
+    /// Resolve this ticket.
+    Ticket(u64),
+    /// Published before [`bind`] bound the job to its ticket (another
+    /// worker ran it in between); `bind` resolves the ticket from it.
+    Parked(Result<JobReport, SimError>),
+    /// The ticket was cancelled before the job was bound: drop the
+    /// job's result when it arrives.
+    Discard,
+}
+
 struct Shared {
     service: Mutex<SimulationService>,
     /// Ticket id → lifecycle state. Guarded by its own mutex (paired
     /// with `done_cv`); lock order is always service → slots → jobmap.
     slots: Mutex<FxHashMap<u64, SlotState>>,
-    /// Service job id → ticket id, for publishing finished results.
-    jobmap: Mutex<FxHashMap<u64, u64>>,
+    /// Service job id → where its finished result goes.
+    jobmap: Mutex<FxHashMap<u64, Binding>>,
     done_cv: Condvar,
     abort: AtomicBool,
     clock: Arc<dyn Clock>,
@@ -355,16 +367,45 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
         }
     }
     let submitted = lock(&shared.service).submit(request);
+    bind(shared, ticket, submitted);
+}
+
+/// Settles the outcome of submitting `ticket`'s request: binds the job
+/// to the ticket, resolves the ticket from a result another worker
+/// already published, or — if the ticket was cancelled meanwhile —
+/// drops the job.
+fn bind(shared: &Shared, ticket: u64, submitted: Result<JobId, SimError>) {
     let mut slots = lock(&shared.slots);
     match submitted {
         Ok(job) => {
-            if matches!(slots.get(&ticket), Some(SlotState::Queued)) {
-                slots.insert(ticket, SlotState::Submitted(job));
-                lock(&shared.jobmap).insert(job.0, ticket);
-            } else {
-                // cancelled in the window between the two looks
-                drop(slots);
-                lock(&shared.service).cancel(job);
+            // Another worker may have run and published the job since
+            // the service lock was released.
+            let mut jobmap = lock(&shared.jobmap);
+            let parked = match jobmap.remove(&job.0) {
+                Some(Binding::Parked(result)) => Some(result),
+                _ => None,
+            };
+            let live = matches!(slots.get(&ticket), Some(SlotState::Queued));
+            match (live, parked) {
+                (true, Some(result)) => {
+                    slots.insert(ticket, SlotState::Done(result));
+                    drop(jobmap);
+                    drop(slots);
+                    shared.done_cv.notify_all();
+                }
+                (true, None) => {
+                    slots.insert(ticket, SlotState::Submitted(job));
+                    jobmap.insert(job.0, Binding::Ticket(ticket));
+                }
+                // cancelled in the window between the two looks, after
+                // the job already finished: nothing left to settle
+                (false, Some(_)) => {}
+                (false, None) => {
+                    jobmap.insert(job.0, Binding::Discard);
+                    drop(jobmap);
+                    drop(slots);
+                    lock(&shared.service).cancel(job);
+                }
             }
         }
         Err(err) => {
@@ -386,8 +427,15 @@ fn publish(shared: &Shared, finished: Vec<(JobId, Result<JobReport, SimError>)>)
         let mut slots = lock(&shared.slots);
         let mut jobmap = lock(&shared.jobmap);
         for (job, result) in finished {
-            if let Some(ticket) = jobmap.remove(&job.0) {
-                slots.insert(ticket, SlotState::Done(result));
+            match jobmap.remove(&job.0) {
+                Some(Binding::Ticket(ticket)) => {
+                    slots.insert(ticket, SlotState::Done(result));
+                }
+                Some(Binding::Discard) => {}
+                // not bound yet: park it for `bind`
+                None | Some(Binding::Parked(_)) => {
+                    jobmap.insert(job.0, Binding::Parked(result));
+                }
             }
         }
     }
@@ -491,6 +539,87 @@ mod tests {
         let stats = handle.shutdown();
         assert_eq!(stats.completed, 8);
         assert_eq!(stats.failed, 0);
+    }
+
+    /// The shared state of a pool with no worker threads, so a test can
+    /// interleave `admit` and `publish` by hand.
+    fn workerless_shared() -> Shared {
+        let service = SimulationService::new(ServiceConfig::default());
+        let clock = service.clock();
+        Shared {
+            service: Mutex::new(service),
+            slots: Mutex::new(FxHashMap::default()),
+            jobmap: Mutex::new(FxHashMap::default()),
+            done_cv: Condvar::new(),
+            abort: AtomicBool::new(false),
+            clock,
+        }
+    }
+
+    /// The finished result a fresh service produces for its first job.
+    fn first_job_result(request: SimRequest) -> Vec<(JobId, Result<JobReport, SimError>)> {
+        let mut service = SimulationService::new(ServiceConfig::default());
+        service.submit(request).unwrap();
+        service.run_pending();
+        let finished = service.take_finished();
+        assert_eq!(finished.len(), 1);
+        finished
+    }
+
+    #[test]
+    fn a_result_published_before_its_ticket_is_bound_still_resolves() {
+        // The race: admit() submits the job and releases the service
+        // lock; another worker runs the job and publishes its result
+        // before admit() binds the ticket. A fresh service numbers jobs
+        // deterministically, so `early` produces the result the shared
+        // service's first job would.
+        let request = || SimRequest::histogram(bell(), 50).with_seed(3);
+        let shared = workerless_shared();
+        lock(&shared.slots).insert(7, SlotState::Queued);
+        publish(&shared, first_job_result(request()));
+        admit(&shared, (7, request()));
+        assert!(
+            matches!(lock(&shared.slots).get(&7), Some(SlotState::Done(Ok(_)))),
+            "the ticket must resolve from the early result"
+        );
+        assert!(lock(&shared.jobmap).is_empty(), "nothing left parked");
+    }
+
+    #[test]
+    fn an_early_result_of_a_cancelled_ticket_is_dropped() {
+        let request = || SimRequest::histogram(bell(), 50).with_seed(4);
+        let shared = workerless_shared();
+        publish(&shared, first_job_result(request()));
+        // cancelled between admit's two looks, after the job finished
+        lock(&shared.slots).insert(8, SlotState::Done(Err(SimError::Cancelled)));
+        let job = lock(&shared.service).submit(request());
+        bind(&shared, 8, job);
+        assert!(
+            lock(&shared.jobmap).is_empty(),
+            "the early result is dropped"
+        );
+        assert!(matches!(
+            lock(&shared.slots).get(&8),
+            Some(SlotState::Done(Err(SimError::Cancelled)))
+        ));
+    }
+
+    #[test]
+    fn a_ticket_cancelled_before_binding_leaves_nothing_behind() {
+        let request = SimRequest::histogram(bell(), 50).with_seed(5);
+        let shared = workerless_shared();
+        // cancelled between admit's two looks, before the job ran
+        lock(&shared.slots).insert(3, SlotState::Done(Err(SimError::Cancelled)));
+        let job = lock(&shared.service).submit(request);
+        bind(&shared, 3, job);
+        let finished = lock(&shared.service).take_finished();
+        assert_eq!(finished.len(), 1, "bind cancels the job in the service");
+        publish(&shared, finished);
+        assert!(lock(&shared.jobmap).is_empty(), "its result is dropped");
+        assert!(matches!(
+            lock(&shared.slots).get(&3),
+            Some(SlotState::Done(Err(SimError::Cancelled)))
+        ));
     }
 
     #[test]

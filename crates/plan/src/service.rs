@@ -870,9 +870,7 @@ impl SimulationService {
     ) {
         let backend = group[0].plan.backend;
         let path = group[0].plan.path;
-        let mut options = group[0].plan.options.clone();
-        options.parallel_sweep = true; // fan the merged batch across threads
-        let sim = Simulator::for_backend(backend, n, options);
+        let sim = Simulator::for_backend(backend, n, group[0].plan.options.clone());
         // Each job executes its plan's (optimizer-rewritten) circuit;
         // the plan fingerprint in the group key guarantees every member
         // went through the same pipeline.
@@ -942,8 +940,7 @@ impl SimulationService {
         };
         let backend = group[0].plan.backend;
         let path = group[0].plan.path;
-        let mut options = group[0].plan.options.clone();
-        options.parallel_sweep = true;
+        let options = group[0].plan.options.clone();
         // The observable lightcone commutes with parameter resolution
         // (it drops ops by support alone), so pruning the shared base
         // yields exactly the per-job plan circuits after resolution —

@@ -17,13 +17,16 @@
 
 use bgls_backend::{BackendKind, SimulatorExt};
 use bgls_circuit::{
-    generate_random_circuit, Channel, Circuit, Gate, Operation, PauliOp, PauliString, PauliSum,
-    Qubit, RandomCircuitParams,
+    generate_random_circuit, Channel, Circuit, Gate, OpKind, Operation, OptimizeConfig, PauliOp,
+    PauliString, PauliSum, Qubit, RandomCircuitParams,
 };
-use bgls_core::{BitString, SimError, Simulator, SimulatorOptions};
+use bgls_core::{
+    ApplyFn, BatchProbFn, BglsState, BitString, ProbFn, SimError, Simulator, SimulatorOptions,
+};
 use bgls_linalg::C64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The circuit families of the conformance battery. Every backend that
 /// [`supports`] a class must reproduce the exact reference behaviour on
@@ -295,9 +298,19 @@ pub fn sample_counts(
     reps: u64,
     opts: SimulatorOptions,
 ) -> Result<Vec<u64>, SimError> {
+    run_counts(&Simulator::for_backend(kind, n, opts), circuit, n, reps)
+}
+
+/// [`sample_counts`] through an already built simulator (custom hooks).
+pub fn run_counts<S: BglsState + Send + Sync>(
+    sim: &Simulator<S>,
+    circuit: &Circuit,
+    n: usize,
+    reps: u64,
+) -> Result<Vec<u64>, SimError> {
     let mut measured = circuit.clone();
     measured.push(Operation::measure(Qubit::range(n), "conf").unwrap());
-    let result = Simulator::for_backend(kind, n, opts).run(&measured, reps)?;
+    let result = sim.run(&measured, reps)?;
     let h = result
         .histogram("conf")
         .expect("appended readout key must be recorded");
@@ -306,7 +319,7 @@ pub fn sample_counts(
 
 /// Folds a seeded sampling run into an FNV-1a digest of its histogram —
 /// the unit of the battery's bit-identity assertions (same seed, any
-/// parallelism knobs or thread count, same digest).
+/// thread count or conforming probability hook, same digest).
 pub fn sample_digest(
     kind: BackendKind,
     circuit: &Circuit,
@@ -314,12 +327,53 @@ pub fn sample_digest(
     reps: u64,
     opts: SimulatorOptions,
 ) -> Result<u64, SimError> {
-    let counts = sample_counts(kind, circuit, n, reps, opts)?;
+    Ok(digest_counts(&sample_counts(kind, circuit, n, reps, opts)?))
+}
+
+/// FNV-1a over a histogram's counts, as [`sample_digest`] folds them.
+pub fn digest_counts(counts: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &c in &counts {
+    for &c in counts {
         fnv1a(&mut h, c);
     }
-    Ok(h)
+    h
+}
+
+/// A batched probability hook that loops the scalar
+/// [`BglsState::probability`] — the baseline every batched
+/// implementation must match bit for bit.
+pub fn scalar_batch_hook<S: BglsState + 'static>() -> BatchProbFn<S> {
+    Arc::new(|state: &S, candidates: &[BitString]| {
+        candidates.iter().map(|&b| state.probability(b)).collect()
+    })
+}
+
+/// A simulator whose hooks do what [`Simulator::new`]'s do, built through
+/// [`Simulator::with_hooks`] with a scalar probability hook, so every
+/// candidate set is evaluated one `probability` call at a time. Seeded
+/// results on the sample-parallel and replay paths are bit-identical to
+/// `Simulator::new(state)`; circuits that would fork the trajectory
+/// forest replay instead, as for every custom-hook simulator.
+pub fn scalar_simulator<S: BglsState + Send + Sync + 'static>(state: S) -> Simulator<S> {
+    let apply: ApplyFn<S> = Arc::new(|state, op, rng| {
+        let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+        match &op.kind {
+            OpKind::Gate(g) => state.apply_gate(g, &qs),
+            OpKind::Channel(c) => state.apply_kraus(c, &qs, rng).map(|_| ()),
+            OpKind::Measure { .. } => Ok(()),
+        }
+    });
+    let prob: ProbFn<S> = Arc::new(|state, bits| state.probability(bits));
+    Simulator::with_hooks(state, apply, prob, false)
+}
+
+/// The paper's single-qubit merge (Sec. 3.2.2) as an optimizer
+/// configuration: [`bgls_circuit::fuse`] and nothing else.
+pub fn merge_1q() -> OptimizeConfig {
+    OptimizeConfig {
+        merge_single_qubit_runs: true,
+        ..OptimizeConfig::off()
+    }
 }
 
 /// FNV-1a over a sample vector: order-sensitive, so equal digests mean

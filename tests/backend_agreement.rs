@@ -15,6 +15,7 @@ use bgls_suite::circuit::{
 };
 use bgls_suite::core::{BglsState, BitString, Simulator, SimulatorOptions};
 use bgls_suite::{AnyState, BackendKind, SimulatorExt};
+use bgls_testkit::{merge_1q, scalar_simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -239,46 +240,33 @@ fn backends_for(name: &str) -> Vec<BackendKind> {
 /// Batch vs scalar candidate evaluation is bit-identical under a fixed
 /// seed: the batched hook must return exactly the scalar hook's values,
 /// so the multinomial splits consume identical RNG streams.
+///
+/// The scalar side is a `with_hooks` simulator whose hook evaluates one
+/// candidate at a time, compared on the sample-parallel walk and on
+/// per-repetition replay (`parallelize_samples: false`).
 #[test]
 fn batched_and_scalar_paths_sample_identically_on_every_backend() {
     for (name, circuit) in agreement_circuits() {
         for kind in backends_for(name) {
-            let sample = |batch: bool| {
+            for parallelize_samples in [true, false] {
                 let opts = SimulatorOptions {
                     seed: Some(77),
-                    batch_probabilities: batch,
+                    parallelize_samples,
                     ..Default::default()
                 };
-                Simulator::for_backend(kind, N, opts)
-                    .sample_final_bitstrings(&circuit, 4000)
-                    .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"))
-            };
-            assert_eq!(
-                sample(true),
-                sample(false),
-                "{name} on {kind}: batched path diverged from scalar path"
-            );
-        }
-    }
-}
-
-/// Parallel and sequential multiplicity-map redistribution are
-/// bit-identical: every map entry draws from its own seed-derived stream.
-#[test]
-fn parallel_redistribution_is_bit_identical_to_sequential() {
-    for (name, circuit) in agreement_circuits() {
-        for kind in backends_for(name) {
-            let sample = |parallel: bool| {
-                let opts = SimulatorOptions {
-                    seed: Some(78),
-                    parallel_redistribution: parallel,
-                    ..Default::default()
-                };
-                Simulator::for_backend(kind, N, opts)
-                    .sample_final_bitstrings(&circuit, 4000)
-                    .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"))
-            };
-            assert_eq!(sample(true), sample(false), "{name} on {kind}");
+                let batched = Simulator::for_backend(kind, N, opts.clone())
+                    .sample_final_bitstrings(&circuit, 2000)
+                    .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"));
+                let scalar = scalar_simulator(AnyState::zero(kind, N))
+                    .with_options(opts)
+                    .sample_final_bitstrings(&circuit, 2000)
+                    .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"));
+                assert_eq!(
+                    batched, scalar,
+                    "{name} on {kind} (parallelize_samples={parallelize_samples}): \
+                     batched path diverged from scalar path"
+                );
+            }
         }
     }
 }
@@ -297,7 +285,7 @@ fn fused_circuits_agree_with_unfused_distributions() {
             let run = |fuse: bool, seed: u64| {
                 let opts = SimulatorOptions {
                     seed: Some(seed),
-                    fuse_gates: fuse,
+                    optimize: fuse.then(merge_1q),
                     ..Default::default()
                 };
                 Simulator::for_backend(kind, N, opts)

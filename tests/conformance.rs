@@ -11,21 +11,28 @@
 //! 2. **Histograms** of seeded sampling runs pass a 5-sigma chi-squared
 //!    fit against the exact Born distribution (computed once on the
 //!    density matrix through the same frontier).
-//! 3. **Digests** of the sampled sequence are bit-identical across
-//!    every parallelism knob and across `RAYON_NUM_THREADS` (the
+//! 3. **Digests** of the sampled sequence are bit-identical under a
+//!    scalar probability hook and across `RAYON_NUM_THREADS` (the
 //!    thread-count half runs in child processes, since the vendored
-//!    Rayon pins its pool size per process).
+//!    Rayon pins its pool size per process) — through `run`,
+//!    `sample_final_bitstrings` and `run_batch`.
+//!
+//! On top of the fixed-seed battery, a seeded differential sweep
+//! repeats the expectation and chi-squared assertions over generated
+//! circuits of every class at several seeds.
 //!
 //! The battery is the enforcement side of the capability matrix: a
 //! backend silently losing a capability fails its cells instead of
 //! silently shrinking the suite.
 
 use bgls_suite::apps::chi_squared_fits;
-use bgls_suite::core::SimulatorOptions;
-use bgls_suite::{BackendKind, CostModel};
+use bgls_suite::circuit::{Circuit, Operation, Qubit};
+use bgls_suite::core::{Simulator, SimulatorOptions};
+use bgls_suite::{BackendKind, CostModel, SimulatorExt};
 use bgls_testkit::{
-    backends_under_test, circuit_for, exact_distribution, expectation_on, observables_for,
-    sample_counts, sample_digest, supports, CircuitClass,
+    backends_under_test, circuit_for, digest_counts, digest_samples, exact_distribution,
+    expectation_on, observables_for, run_counts, sample_counts, sample_digest, scalar_batch_hook,
+    supports, CircuitClass,
 };
 use std::process::Command;
 
@@ -35,6 +42,8 @@ use std::process::Command;
 const N: usize = 4;
 const SEED: u64 = 2024;
 const EXPECT_TOL: f64 = 1e-10;
+/// Width of the seeded differential sweep.
+const SWEEP_N: usize = 4;
 /// Frontier headroom for trajectory backends on the channel-heavy
 /// class: 8 two-branch channels fork at most 2^8 = 256 leaves.
 const FRONTIER: usize = 1 << 12;
@@ -46,85 +55,128 @@ fn claiming(class: CircuitClass) -> Vec<BackendKind> {
         .collect()
 }
 
+/// Assertion 1 on one circuit: every observable's exact expectation
+/// agrees to [`EXPECT_TOL`] across all claiming backends.
+fn assert_expectations_agree(class: CircuitClass, circuit: &Circuit, n: usize, tag: &str) {
+    for (oi, obs) in observables_for(n).iter().enumerate() {
+        let values: Vec<(BackendKind, f64)> = claiming(class)
+            .into_iter()
+            .map(|kind| {
+                let v = expectation_on(kind, circuit, n, obs, FRONTIER)
+                    .unwrap_or_else(|e| panic!("{class}{tag} obs#{oi} on {kind}: {e}"));
+                (kind, v)
+            })
+            .collect();
+        for (i, (ka, va)) in values.iter().enumerate() {
+            for (kb, vb) in &values[i + 1..] {
+                assert!(
+                    (va - vb).abs() <= EXPECT_TOL,
+                    "{class}{tag} obs#{oi}: {ka} = {va} vs {kb} = {vb}"
+                );
+            }
+        }
+    }
+}
+
+/// Assertion 2 on one circuit: every claiming backend's histogram of
+/// `reps` shots, sampled under `seed`, passes a 5-sigma chi-squared
+/// fit against the exact Born distribution `exact`.
+fn assert_histograms_fit(
+    class: CircuitClass,
+    circuit: &Circuit,
+    n: usize,
+    exact: &[f64],
+    (reps, seed): (u64, u64),
+    tag: &str,
+) {
+    for kind in claiming(class) {
+        let opts = SimulatorOptions {
+            seed: Some(seed),
+            max_forest_nodes: FRONTIER,
+            ..Default::default()
+        };
+        let counts = sample_counts(kind, circuit, n, reps, opts)
+            .unwrap_or_else(|e| panic!("{class}{tag} on {kind}: {e}"));
+        assert!(
+            chi_squared_fits(&counts, exact, 5.0),
+            "{class}{tag} on {kind}: histogram fails 5-sigma chi-squared vs exact Born"
+        );
+    }
+}
+
 #[test]
 fn expectations_agree_pairwise_across_all_claiming_backends() {
     for class in CircuitClass::all() {
-        let circuit = circuit_for(class, N, SEED);
-        for (oi, obs) in observables_for(N).iter().enumerate() {
-            let values: Vec<(BackendKind, f64)> = claiming(class)
-                .into_iter()
-                .map(|kind| {
-                    let v = expectation_on(kind, &circuit, N, obs, FRONTIER)
-                        .unwrap_or_else(|e| panic!("{class} obs#{oi} on {kind}: {e}"));
-                    (kind, v)
-                })
-                .collect();
-            for (i, (ka, va)) in values.iter().enumerate() {
-                for (kb, vb) in &values[i + 1..] {
-                    assert!(
-                        (va - vb).abs() <= EXPECT_TOL,
-                        "{class} obs#{oi}: {ka} = {va} vs {kb} = {vb}"
-                    );
-                }
-            }
-        }
+        assert_expectations_agree(class, &circuit_for(class, N, SEED), N, "");
     }
 }
 
 #[test]
 fn sampled_histograms_fit_the_exact_born_distribution() {
-    const REPS: u64 = 4000;
     for class in CircuitClass::all() {
         let circuit = circuit_for(class, N, SEED);
         let exact = exact_distribution(&circuit, N);
-        for kind in claiming(class) {
-            let opts = SimulatorOptions {
-                seed: Some(91),
-                max_forest_nodes: FRONTIER,
-                ..Default::default()
+        assert_histograms_fit(class, &circuit, N, &exact, (4000, 91), "");
+    }
+}
+
+/// The differential sweep: the two assertions above over generated
+/// circuits of every class at seeds 0..8, each seed also seeding the
+/// samplers. Classes whose builder ignores the seed (noisy,
+/// channel-heavy) repeat one circuit, so its exact checks run once and
+/// only the sampling streams vary.
+#[test]
+fn seeded_differential_sweep_over_generated_circuits() {
+    for class in CircuitClass::all() {
+        let mut checked: Vec<(Circuit, Vec<f64>)> = Vec::new();
+        for seed in 0..8u64 {
+            let circuit = circuit_for(class, SWEEP_N, seed);
+            let tag = format!(" (seed {seed})");
+            let exact = match checked.iter().find(|(c, _)| *c == circuit) {
+                Some((_, exact)) => exact.clone(),
+                None => {
+                    assert_expectations_agree(class, &circuit, SWEEP_N, &tag);
+                    let exact = exact_distribution(&circuit, SWEEP_N);
+                    checked.push((circuit.clone(), exact.clone()));
+                    exact
+                }
             };
-            let counts = sample_counts(kind, &circuit, N, REPS, opts)
-                .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"));
-            assert!(
-                chi_squared_fits(&counts, &exact, 5.0),
-                "{class} on {kind}: histogram fails 5-sigma chi-squared vs exact Born"
-            );
+            assert_histograms_fit(class, &circuit, SWEEP_N, &exact, (2000, seed), &tag);
         }
     }
 }
 
 #[test]
-fn sampling_digests_are_invariant_across_parallelism_knobs() {
+fn sampling_digests_are_invariant_under_a_scalar_probability_hook() {
     const REPS: u64 = 2000;
     for class in CircuitClass::all() {
         let circuit = circuit_for(class, N, SEED);
         for kind in claiming(class) {
-            let opts = |batch: bool, par_redist: bool, par_traj: bool| SimulatorOptions {
+            let opts = SimulatorOptions {
                 seed: Some(57),
-                batch_probabilities: batch,
-                parallel_redistribution: par_redist,
-                parallel_trajectories: par_traj,
                 max_forest_nodes: FRONTIER,
                 ..Default::default()
             };
-            let digest = |o: SimulatorOptions| {
-                sample_digest(kind, &circuit, N, REPS, o)
-                    .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"))
+            let digest = |sim: Simulator<_>| {
+                let counts = run_counts(&sim, &circuit, N, REPS)
+                    .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"));
+                digest_counts(&counts)
             };
-            let reference = digest(opts(true, true, true));
-            for (b, r, t) in [
-                (true, true, true), // repeat: seed-stability
-                (false, true, true),
-                (true, false, true),
-                (true, true, false),
-                (false, false, false),
-            ] {
-                assert_eq!(
-                    digest(opts(b, r, t)),
-                    reference,
-                    "{class} on {kind}: digest drifted at batch={b} par_redist={r} par_traj={t}"
-                );
-            }
+            let reference = digest(Simulator::for_backend(kind, N, opts.clone()));
+            // repeat: seed-stability
+            assert_eq!(
+                digest(Simulator::for_backend(kind, N, opts.clone())),
+                reference,
+                "{class} on {kind}: digest drifted on a repeat"
+            );
+            // default hooks keep every engine; only candidate evaluation
+            // goes one scalar call at a time
+            let scalar = Simulator::for_backend(kind, N, opts).with_batch_hook(scalar_batch_hook());
+            assert_eq!(
+                digest(scalar),
+                reference,
+                "{class} on {kind}: digest drifted under the scalar hook"
+            );
         }
     }
 }
@@ -143,6 +195,8 @@ fn conformance_child_emit() {
         .find(|c| c.name() == scenario)
         .unwrap_or_else(|| panic!("unknown class {scenario}"));
     let circuit = circuit_for(class, N, SEED);
+    let mut measured = circuit.clone();
+    measured.push(Operation::measure(Qubit::range(N), "conf").unwrap());
     let mut digest = 0u64;
     for kind in claiming(class) {
         let opts = SimulatorOptions {
@@ -150,9 +204,26 @@ fn conformance_child_emit() {
             max_forest_nodes: FRONTIER,
             ..Default::default()
         };
-        let d = sample_digest(kind, &circuit, N, 1000, opts)
-            .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"));
-        digest = digest.rotate_left(7) ^ d;
+        let ctx = format!("{class} on {kind}");
+        let run = sample_digest(kind, &circuit, N, 1000, opts.clone())
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let sim = Simulator::for_backend(kind, N, opts);
+        let samples = sim
+            .sample_final_bitstrings(&circuit, 500)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let jobs: Vec<(Circuit, Option<u64>)> =
+            (0..3).map(|s| (measured.clone(), Some(s))).collect();
+        let batch = sim
+            .run_batch(&jobs, 300)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        for d in [run, digest_samples(&samples)] {
+            digest = digest.rotate_left(7) ^ d;
+        }
+        for result in &batch {
+            let h = result.histogram("conf").expect("readout key recorded");
+            let counts: Vec<u64> = (0..1u64 << N).map(|v| h.count_value(v)).collect();
+            digest = digest.rotate_left(7) ^ digest_counts(&counts);
+        }
     }
     std::fs::write(out, format!("{digest:016x}")).expect("write child digest");
 }

@@ -122,7 +122,6 @@ fn mid_circuit_measurement_requires_projection_support() {
     c.push(Operation::measure(vec![Qubit(0)], "b").unwrap());
     let opts = bgls_suite::core::SimulatorOptions {
         seed: Some(1),
-        parallel_trajectories: false,
         ..Default::default()
     };
     let err = Simulator::new(ChForm::zero(1))

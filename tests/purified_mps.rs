@@ -263,8 +263,8 @@ fn purified_mps_matches_density_matrix_at_ten_qubits() {
     }
 }
 
-/// Same seed, same run — twice in the same process, under different
-/// parallelism knobs. The cross-process thread-count half is below.
+/// Same seed, same run — twice in the same process. The cross-process
+/// thread-count half is below.
 #[test]
 fn seeded_noisy_sampling_is_reproducible_in_process() {
     let n = 6;
@@ -273,17 +273,13 @@ fn seeded_noisy_sampling_is_reproducible_in_process() {
         chi: None,
         kraus_dim: None,
     };
-    let opts = |par: bool| SimulatorOptions {
+    let opts = || SimulatorOptions {
         seed: Some(11),
-        parallel_redistribution: par,
         ..Default::default()
     };
-    let a = sample_digest(pmps, &circuit, n, 3000, opts(true)).unwrap();
-    let b = sample_digest(pmps, &circuit, n, 3000, opts(false)).unwrap();
-    assert_eq!(
-        a, b,
-        "parallel redistribution must not change seeded samples"
-    );
+    let a = sample_digest(pmps, &circuit, n, 3000, opts()).unwrap();
+    let b = sample_digest(pmps, &circuit, n, 3000, opts()).unwrap();
+    assert_eq!(a, b, "the same seed must reproduce the same samples");
 }
 
 /// Child half of the thread-count protocol.

@@ -59,7 +59,6 @@ proptest! {
         let sim = Simulator::new(StateVector::zero(n)).with_options(SimulatorOptions {
             seed: Some(seed),
             parallelize_samples: false,
-            parallel_trajectories: true,
             ..Default::default()
         });
         let samples = sim.sample_final_bitstrings(&circuit, 6000).unwrap();
@@ -173,7 +172,6 @@ fn mid_circuit_measurement_on_chain_mps() {
     c.push(Operation::measure(vec![Qubit(2)], "b").unwrap());
     let opts = SimulatorOptions {
         seed: Some(4),
-        parallel_trajectories: false,
         ..Default::default()
     };
     let sim = Simulator::new(ChainMps::zero(3, MpsOptions::exact())).with_options(opts);

@@ -1,13 +1,15 @@
 //! Trajectory-forest integration: the prefix-sharing forest engine must
 //! sample the same distributions as per-trajectory replay and as the
 //! density matrix's exact channel application, on every runtime backend
-//! that supports channels — while staying bit-identical across thread
-//! counts and across the batched/scalar probability paths.
+//! that supports channels — while staying bit-identical across the
+//! batched/scalar probability paths (the thread-count half is the
+//! conformance battery's child-process digest test).
 
 use bgls_suite::apps::chi_squared_fits;
 use bgls_suite::circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_suite::core::{BglsState, BitString, RunResult, Simulator, SimulatorOptions};
 use bgls_suite::{BackendKind, SimulatorExt};
+use bgls_testkit::scalar_batch_hook;
 
 const N: usize = 4;
 const REPS: u64 = 8_000;
@@ -182,34 +184,27 @@ fn forest_handles_mid_circuit_measurement_on_every_backend() {
 }
 
 #[test]
-fn forest_is_bit_identical_across_parallelism_and_batching() {
+fn forest_is_bit_identical_under_a_scalar_probability_hook() {
     for circuit in [noisy_ghz(), mid_circuit_circuit(0.15)] {
         let n = circuit.num_qubits();
         for kind in trajectory_backends() {
-            let run = |parallel: bool, batch: bool| {
-                run_with(
-                    kind,
-                    &circuit,
-                    n,
-                    SimulatorOptions {
-                        seed: Some(94),
-                        parallel_trajectories: parallel,
-                        parallel_redistribution: parallel,
-                        batch_probabilities: batch,
-                        ..Default::default()
-                    },
-                )
+            let opts = SimulatorOptions {
+                seed: Some(94),
+                ..Default::default()
             };
-            let baseline = run(true, true);
-            for (parallel, batch) in [(false, true), (true, false), (false, false)] {
-                let other = run(parallel, batch);
-                for key in baseline.keys() {
-                    assert_eq!(
-                        baseline.histogram(key),
-                        other.histogram(key),
-                        "{kind}: parallel={parallel} batch={batch} diverged on '{key}'"
-                    );
-                }
+            let baseline = run_with(kind, &circuit, n, opts.clone());
+            // default hooks keep the forest engaged; only the candidate
+            // evaluation changes
+            let scalar = Simulator::for_backend(kind, n, opts)
+                .with_batch_hook(scalar_batch_hook())
+                .run(&circuit, REPS)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            for key in baseline.keys() {
+                assert_eq!(
+                    baseline.histogram(key),
+                    scalar.histogram(key),
+                    "{kind}: scalar hook diverged on '{key}'"
+                );
             }
         }
     }
