@@ -210,7 +210,7 @@ impl ExecutionPlan {
 
 /// The union of the observable's per-term supports — the seed set for
 /// the expectation-path lightcone prune.
-fn observable_targets(observable: &PauliSum) -> Vec<Qubit> {
+pub(crate) fn observable_targets(observable: &PauliSum) -> Vec<Qubit> {
     let mut targets: Vec<Qubit> = observable
         .terms()
         .iter()

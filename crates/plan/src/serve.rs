@@ -1,11 +1,15 @@
 //! The async front door: a worker pool over the batch service.
 //!
 //! [`ServiceHandle`] turns the single-threaded [`SimulationService`]
-//! drain loop into a concurrent server. Submissions travel over a
-//! *bounded* channel (backpressure is a typed rejection, never an
-//! unbounded buffer) to a pool of worker threads that plan, batch,
-//! execute, and publish results; callers redeem a [`Ticket`] with
-//! [`ServiceHandle::wait`] whenever they please.
+//! drain loop into a concurrent server around one id and one table. A
+//! [`Ticket`] *is* the service's [`JobId`]: [`ServiceHandle::submit`]
+//! numbers the request, records it in the front table as waiting, and
+//! appends it to a *bounded* intake queue (backpressure is a typed
+//! rejection, never an unbounded buffer) — all under the front lock,
+//! never the service lock. Workers move the whole intake into the
+//! service under each request's own id, plan, batch and execute, and
+//! publish each result straight to the slot with that id; callers
+//! redeem the ticket with [`ServiceHandle::wait`] whenever they please.
 //!
 //! The liveness contract: **every accepted ticket resolves, exactly
 //! once** — to a [`JobReport`] or a typed [`SimError`] — no matter
@@ -21,36 +25,35 @@
 //! aborts.
 
 use crate::service::{
-    lock, JobId, JobReport, JobStatus, ServiceConfig, ServiceStats, SimRequest, SimulationService,
+    JobId, JobReport, JobStatus, ServiceConfig, ServiceStats, SimRequest, SimulationService,
 };
 use bgls_core::{Clock, SimError};
 use bgls_linalg::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long an idle worker blocks waiting for a submission before
-/// re-checking the abort flag.
-const IDLE_RECV_MS: u64 = 25;
+use std::time::{Duration, Instant};
 
 /// Cap on how long a worker sleeps waiting out retry-backoff windows in
 /// one hop (it re-checks for new arrivals in between).
 const BACKOFF_NAP_CAP_MS: u64 = 50;
+
+/// Locks a mutex, recovering from poisoning: a panicking worker must
+/// never take the service down with it — the protected state is only
+/// ever updated in consistent steps, so the post-panic value is valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Configuration of the serving front door.
 #[derive(Clone, Copy, Debug)]
 pub struct ServePolicy {
     /// Worker threads draining the service.
     pub workers: usize,
-    /// Bounded submission-channel depth; a full channel rejects
+    /// Bounded intake depth; a full intake queue rejects
     /// [`ServiceHandle::submit`] with [`SimError::Invalid`].
     pub queue_depth: usize,
-    /// `true`: [`ServiceHandle::shutdown`] drains all in-flight work
-    /// before returning. `false`: shutdown behaves like
-    /// [`ServiceHandle::abort`].
-    pub drain_on_shutdown: bool,
 }
 
 impl Default for ServePolicy {
@@ -58,47 +61,44 @@ impl Default for ServePolicy {
         ServePolicy {
             workers: 2,
             queue_depth: 256,
-            drain_on_shutdown: true,
         }
     }
 }
 
-/// Claim check for a submitted request; redeem with
-/// [`ServiceHandle::wait`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Ticket(pub u64);
+/// Claim check for a submitted request — the id of its service job;
+/// redeem with [`ServiceHandle::wait`].
+pub type Ticket = JobId;
 
-enum SlotState {
-    /// In the submission channel, not yet planned.
-    Queued,
-    /// Planned and queued (or executing) inside the service.
-    Submitted(JobId),
-    /// Finished; result parked for the caller.
-    Done(Result<JobReport, SimError>),
+type Outcome = Result<JobReport, SimError>;
+
+/// A ticket's entry in the front table.
+enum Slot {
+    /// Accepted and not yet resolved: in the intake queue or the
+    /// service.
+    Waiting,
+    /// Resolved; the result is parked for the caller.
+    Done(Outcome),
 }
 
-type Msg = (u64, SimRequest);
-
-/// What a service job id maps to when its result is published.
-enum Binding {
-    /// Resolve this ticket.
-    Ticket(u64),
-    /// Published before [`bind`] bound the job to its ticket (another
-    /// worker ran it in between); `bind` resolves the ticket from it.
-    Parked(Result<JobReport, SimError>),
-    /// The ticket was cancelled before the job was bound: drop the
-    /// job's result when it arrives.
-    Discard,
+/// The front table: what the front door knows about each ticket.
+struct Front {
+    /// Accepted requests no worker has moved into the service yet,
+    /// oldest first.
+    intake: VecDeque<(u64, SimRequest)>,
+    /// Ticket id → slot; an entry leaves when its result is waited.
+    slots: FxHashMap<u64, Slot>,
+    /// Intake closed by shutdown or abort.
+    closed: bool,
 }
 
 struct Shared {
+    /// The batch service. Lock order is always service → front.
     service: Mutex<SimulationService>,
-    /// Ticket id → lifecycle state. Guarded by its own mutex (paired
-    /// with `done_cv`); lock order is always service → slots → jobmap.
-    slots: Mutex<FxHashMap<u64, SlotState>>,
-    /// Service job id → where its finished result goes.
-    jobmap: Mutex<FxHashMap<u64, Binding>>,
-    done_cv: Condvar,
+    front: Mutex<Front>,
+    /// Signalled when the intake gains a request or closes.
+    arrived: Condvar,
+    /// Signalled when slots resolve.
+    resolved: Condvar,
     abort: AtomicBool,
     clock: Arc<dyn Clock>,
 }
@@ -106,10 +106,9 @@ struct Shared {
 /// Concurrent, fault-tolerant front door over a [`SimulationService`].
 pub struct ServiceHandle {
     shared: Arc<Shared>,
-    sender: Option<SyncSender<Msg>>,
     workers: Vec<JoinHandle<()>>,
     next_ticket: AtomicU64,
-    drain_on_shutdown: bool,
+    queue_depth: usize,
 }
 
 impl ServiceHandle {
@@ -125,35 +124,16 @@ impl ServiceHandle {
                 "serving policy needs a submission queue depth of at least 1".into(),
             ));
         }
-        let service = SimulationService::new(config);
-        let clock = service.clock();
-        let shared = Arc::new(Shared {
-            service: Mutex::new(service),
-            slots: Mutex::new(FxHashMap::default()),
-            jobmap: Mutex::new(FxHashMap::default()),
-            done_cv: Condvar::new(),
-            abort: AtomicBool::new(false),
-            clock,
-        });
-        let (sender, receiver) = std::sync::mpsc::sync_channel::<Msg>(policy.queue_depth);
-        let receiver = Arc::new(Mutex::new(receiver));
-        let mut workers = Vec::with_capacity(policy.workers);
+        let mut handle = ServiceHandle::workerless(config, policy.queue_depth);
         for i in 0..policy.workers {
-            let shared_i = Arc::clone(&shared);
-            let receiver_i = Arc::clone(&receiver);
-            let handle = std::thread::Builder::new()
+            let shared = Arc::clone(&handle.shared);
+            let worker = std::thread::Builder::new()
                 .name(format!("bgls-serve-{i}"))
-                .spawn(move || worker_loop(&shared_i, &receiver_i))
+                .spawn(move || worker_loop(&shared))
                 .map_err(|e| SimError::Invalid(format!("failed to spawn worker: {e}")))?;
-            workers.push(handle);
+            handle.workers.push(worker);
         }
-        Ok(ServiceHandle {
-            shared,
-            sender: Some(sender),
-            workers,
-            next_ticket: AtomicU64::new(0),
-            drain_on_shutdown: policy.drain_on_shutdown,
-        })
+        Ok(handle)
     }
 
     /// Starts with default service configuration and serving policy.
@@ -161,56 +141,56 @@ impl ServiceHandle {
         ServiceHandle::start(ServiceConfig::default(), ServePolicy::default())
     }
 
-    /// Submits a request. Non-blocking: a full submission channel or a
-    /// shut-down pool rejects with [`SimError::Invalid`] instead of
-    /// waiting. An accepted ticket is guaranteed to resolve.
-    pub fn submit(&self, request: SimRequest) -> Result<Ticket, SimError> {
-        let Some(sender) = &self.sender else {
-            return Err(SimError::Invalid("the serving pool is shut down".into()));
-        };
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        lock(&self.shared.slots).insert(ticket, SlotState::Queued);
-        match sender.try_send((ticket, request)) {
-            Ok(()) => Ok(Ticket(ticket)),
-            Err(err) => {
-                lock(&self.shared.slots).remove(&ticket);
-                match err {
-                    TrySendError::Full(_) => Err(SimError::Invalid(
-                        "the serving submission queue is full; wait out some tickets first".into(),
-                    )),
-                    TrySendError::Disconnected(_) => {
-                        Err(SimError::Invalid("the serving pool is shut down".into()))
-                    }
-                }
-            }
+    /// The handle and its shared state, before any worker starts.
+    fn workerless(config: ServiceConfig, queue_depth: usize) -> ServiceHandle {
+        let service = SimulationService::new(config);
+        let clock = service.clock();
+        ServiceHandle {
+            shared: Arc::new(Shared {
+                service: Mutex::new(service),
+                front: Mutex::new(Front {
+                    intake: VecDeque::new(),
+                    slots: FxHashMap::default(),
+                    closed: false,
+                }),
+                arrived: Condvar::new(),
+                resolved: Condvar::new(),
+                abort: AtomicBool::new(false),
+                clock,
+            }),
+            workers: Vec::new(),
+            next_ticket: AtomicU64::new(0),
+            queue_depth,
         }
+    }
+
+    /// Submits a request. Non-blocking, and never waits on the service:
+    /// a full intake queue or a shut-down pool rejects with
+    /// [`SimError::Invalid`]. An accepted ticket is guaranteed to
+    /// resolve.
+    pub fn submit(&self, request: SimRequest) -> Result<Ticket, SimError> {
+        let mut front = lock(&self.shared.front);
+        if front.closed {
+            return Err(SimError::Invalid("the serving pool is shut down".into()));
+        }
+        if front.intake.len() >= self.queue_depth {
+            return Err(SimError::Invalid(
+                "the serving submission queue is full; wait out some tickets first".into(),
+            ));
+        }
+        let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        front.slots.insert(id, Slot::Waiting);
+        front.intake.push_back((id, request));
+        drop(front);
+        self.shared.arrived.notify_one();
+        Ok(JobId(id))
     }
 
     /// Blocks until the ticket resolves and removes its result. A
     /// second wait on the same ticket reports it unknown.
     pub fn wait(&self, ticket: Ticket) -> Result<JobReport, SimError> {
-        let mut slots = lock(&self.shared.slots);
-        loop {
-            match slots.get(&ticket.0) {
-                Some(SlotState::Done(_)) => match slots.remove(&ticket.0) {
-                    Some(SlotState::Done(result)) => return result,
-                    _ => unreachable!("slot vanished while holding the lock"),
-                },
-                None => {
-                    return Err(SimError::Invalid(format!(
-                        "unknown ticket {} (never submitted, or already waited)",
-                        ticket.0
-                    )))
-                }
-                Some(_) => {
-                    slots = self
-                        .shared
-                        .done_cv
-                        .wait(slots)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
+        self.redeem(ticket, None)
+            .unwrap_or_else(|| unreachable!("a wait without a deadline returns a result"))
     }
 
     /// Like [`ServiceHandle::wait`], but gives up after `timeout_ms`,
@@ -220,76 +200,96 @@ impl ServiceHandle {
         ticket: Ticket,
         timeout_ms: u64,
     ) -> Option<Result<JobReport, SimError>> {
-        let deadline = Duration::from_millis(timeout_ms);
-        let mut waited = Duration::ZERO;
-        let mut slots = lock(&self.shared.slots);
+        let deadline = Instant::now().checked_add(Duration::from_millis(timeout_ms));
+        self.redeem(ticket, deadline)
+    }
+
+    /// Waits for the ticket until `deadline` (`None`: for ever).
+    fn redeem(&self, ticket: Ticket, deadline: Option<Instant>) -> Option<Outcome> {
+        let mut front = lock(&self.shared.front);
         loop {
-            match slots.get(&ticket.0) {
-                Some(SlotState::Done(_)) => match slots.remove(&ticket.0) {
-                    Some(SlotState::Done(result)) => return Some(result),
-                    _ => unreachable!("slot vanished while holding the lock"),
-                },
+            match front.slots.remove(&ticket.0) {
+                Some(Slot::Done(result)) => return Some(result),
+                Some(Slot::Waiting) => {
+                    front.slots.insert(ticket.0, Slot::Waiting);
+                }
                 None => {
                     return Some(Err(SimError::Invalid(format!(
                         "unknown ticket {} (never submitted, or already waited)",
                         ticket.0
                     ))))
                 }
-                Some(_) => {
-                    if waited >= deadline {
+            }
+            front = match deadline {
+                None => self
+                    .shared
+                    .resolved
+                    .wait(front)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return None;
                     }
-                    let step = (deadline - waited).min(Duration::from_millis(IDLE_RECV_MS));
-                    let (guard, _) = self
-                        .shared
-                        .done_cv
-                        .wait_timeout(slots, step)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    slots = guard;
-                    waited += step;
+                    self.shared
+                        .resolved
+                        .wait_timeout(front, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-            }
+            };
         }
     }
 
     /// Where the ticket currently is in its lifecycle.
     pub fn status(&self, ticket: Ticket) -> JobStatus {
-        let job = {
-            let slots = lock(&self.shared.slots);
-            match slots.get(&ticket.0) {
+        {
+            let front = lock(&self.shared.front);
+            match front.slots.get(&ticket.0) {
                 None => return JobStatus::Unknown,
-                Some(SlotState::Done(_)) => return JobStatus::Done,
-                Some(SlotState::Queued) => return JobStatus::Pending,
-                Some(SlotState::Submitted(id)) => *id,
+                Some(Slot::Done(_)) => return JobStatus::Done,
+                Some(Slot::Waiting) if front.intake.iter().any(|(id, _)| *id == ticket.0) => {
+                    return JobStatus::Pending
+                }
+                Some(Slot::Waiting) => {}
             }
-        };
-        match lock(&self.shared.service).status(job) {
+        }
+        match lock(&self.shared.service).status(ticket) {
             // finished inside the service but not yet published
             JobStatus::Unknown | JobStatus::Done => JobStatus::Done,
             live => live,
         }
     }
 
-    /// Best-effort cancellation: a ticket still queued (in the channel
-    /// or the service queue) resolves with [`SimError::Cancelled`];
-    /// one already executing or finished is left alone. Returns whether
-    /// the cancellation landed.
+    /// Best-effort cancellation: a ticket still queued (in the intake
+    /// or the service queue) resolves at once with
+    /// [`SimError::Cancelled`]; one already executing or finished is
+    /// left alone. Returns whether the cancellation landed.
     pub fn cancel(&self, ticket: Ticket) -> bool {
-        let job = {
-            let mut slots = lock(&self.shared.slots);
-            match slots.get(&ticket.0) {
-                None | Some(SlotState::Done(_)) => return false,
-                Some(SlotState::Queued) => {
-                    // still in the channel: resolve here, the admitting
-                    // worker will see the slot settled and skip it
-                    slots.insert(ticket.0, SlotState::Done(Err(SimError::Cancelled)));
-                    self.shared.done_cv.notify_all();
-                    return true;
-                }
-                Some(SlotState::Submitted(id)) => *id,
+        {
+            let mut front = lock(&self.shared.front);
+            if !matches!(front.slots.get(&ticket.0), Some(Slot::Waiting)) {
+                return false;
             }
-        };
-        lock(&self.shared.service).cancel(job)
+            if let Some(pos) = front.intake.iter().position(|(id, _)| *id == ticket.0) {
+                front.intake.remove(pos);
+                drop(front);
+                publish(&self.shared, vec![(ticket, Err(SimError::Cancelled))]);
+                return true;
+            }
+        }
+        // Not in the intake, so in the service: a worker moves the
+        // intake into the service inside one service-lock hold.
+        let mut svc = lock(&self.shared.service);
+        if !svc.cancel(ticket) {
+            return false;
+        }
+        // settle it here: an idle worker would not publish it before
+        // the next arrival
+        svc.take_result(ticket);
+        drop(svc);
+        publish(&self.shared, vec![(ticket, Err(SimError::Cancelled))]);
+        true
     }
 
     /// Snapshot of the underlying service counters.
@@ -297,13 +297,10 @@ impl ServiceHandle {
         lock(&self.shared.service).stats()
     }
 
-    /// Stops intake and (per [`ServePolicy::drain_on_shutdown`]) drains
-    /// every in-flight job — retries, degradations and all — before
-    /// returning the final counters. Unredeemed tickets stay waitable
-    /// until the handle is dropped.
+    /// Stops intake and drains every in-flight job — retries,
+    /// degradations and all — before returning the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
-        let drain = self.drain_on_shutdown;
-        self.finish(drain)
+        self.finish(true)
     }
 
     /// Stops intake and fails all unfinished work with
@@ -317,34 +314,37 @@ impl ServiceHandle {
         if !drain {
             self.shared.abort.store(true, Ordering::Release);
         }
-        // Dropping the only sender disconnects the channel; draining
-        // workers exit once the backlog is gone, aborting ones at the
-        // next loop head.
-        self.sender = None;
+        // Draining workers exit once intake and backlog are empty,
+        // aborting ones at the next loop head.
+        lock(&self.shared.front).closed = true;
+        self.shared.arrived.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Settle everything the workers left behind (nothing in drain
-        // mode; the whole backlog in abort mode).
-        let finished = {
-            let mut svc = lock(&self.shared.service);
-            let ids: Vec<u64> = lock(&self.shared.jobmap).keys().copied().collect();
-            for id in ids {
-                svc.cancel(JobId(id));
-            }
-            svc.take_finished()
-        };
-        publish(&self.shared, finished);
+        // Settle everything the workers left behind (nothing after a
+        // drain; after an abort, the intake and the service backlog).
+        let mut svc = lock(&self.shared.service);
+        let waiting: Vec<u64> = lock(&self.shared.front)
+            .slots
+            .iter()
+            .filter(|(_, slot)| matches!(slot, Slot::Waiting))
+            .map(|(id, _)| *id)
+            .collect();
+        for id in waiting {
+            svc.cancel(JobId(id));
+        }
+        publish(&self.shared, svc.take_finished());
         {
-            let mut slots = lock(&self.shared.slots);
-            for state in slots.values_mut() {
-                if !matches!(state, SlotState::Done(_)) {
-                    *state = SlotState::Done(Err(SimError::Cancelled));
+            let mut front = lock(&self.shared.front);
+            front.intake.clear();
+            for slot in front.slots.values_mut() {
+                if matches!(slot, Slot::Waiting) {
+                    *slot = Slot::Done(Err(SimError::Cancelled));
                 }
             }
         }
-        self.shared.done_cv.notify_all();
-        lock(&self.shared.service).stats()
+        self.shared.resolved.notify_all();
+        svc.stats()
     }
 }
 
@@ -356,143 +356,95 @@ impl Drop for ServiceHandle {
     }
 }
 
-/// Pulls a submission into the service and records the ticket → job
-/// binding (or the planning error).
-fn admit(shared: &Shared, (ticket, request): Msg) {
-    {
-        let slots = lock(&shared.slots);
-        // skip tickets cancelled while still in the channel
-        if !matches!(slots.get(&ticket), Some(SlotState::Queued)) {
-            return;
-        }
-    }
-    let submitted = lock(&shared.service).submit(request);
-    bind(shared, ticket, submitted);
-}
-
-/// Settles the outcome of submitting `ticket`'s request: binds the job
-/// to the ticket, resolves the ticket from a result another worker
-/// already published, or — if the ticket was cancelled meanwhile —
-/// drops the job.
-fn bind(shared: &Shared, ticket: u64, submitted: Result<JobId, SimError>) {
-    let mut slots = lock(&shared.slots);
-    match submitted {
-        Ok(job) => {
-            // Another worker may have run and published the job since
-            // the service lock was released.
-            let mut jobmap = lock(&shared.jobmap);
-            let parked = match jobmap.remove(&job.0) {
-                Some(Binding::Parked(result)) => Some(result),
-                _ => None,
-            };
-            let live = matches!(slots.get(&ticket), Some(SlotState::Queued));
-            match (live, parked) {
-                (true, Some(result)) => {
-                    slots.insert(ticket, SlotState::Done(result));
-                    drop(jobmap);
-                    drop(slots);
-                    shared.done_cv.notify_all();
-                }
-                (true, None) => {
-                    slots.insert(ticket, SlotState::Submitted(job));
-                    jobmap.insert(job.0, Binding::Ticket(ticket));
-                }
-                // cancelled in the window between the two looks, after
-                // the job already finished: nothing left to settle
-                (false, Some(_)) => {}
-                (false, None) => {
-                    jobmap.insert(job.0, Binding::Discard);
-                    drop(jobmap);
-                    drop(slots);
-                    lock(&shared.service).cancel(job);
-                }
-            }
-        }
-        Err(err) => {
-            // rejected at the door (infeasible plan, full service
-            // queue): the ticket resolves with the typed error
-            slots.insert(ticket, SlotState::Done(Err(err)));
-            drop(slots);
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-/// Publishes finished service results to their tickets.
-fn publish(shared: &Shared, finished: Vec<(JobId, Result<JobReport, SimError>)>) {
+/// Resolves the tickets of finished jobs and wakes their waiters.
+fn publish(shared: &Shared, finished: Vec<(JobId, Outcome)>) {
     if finished.is_empty() {
         return;
     }
     {
-        let mut slots = lock(&shared.slots);
-        let mut jobmap = lock(&shared.jobmap);
+        let mut front = lock(&shared.front);
         for (job, result) in finished {
-            match jobmap.remove(&job.0) {
-                Some(Binding::Ticket(ticket)) => {
-                    slots.insert(ticket, SlotState::Done(result));
-                }
-                Some(Binding::Discard) => {}
-                // not bound yet: park it for `bind`
-                None | Some(Binding::Parked(_)) => {
-                    jobmap.insert(job.0, Binding::Parked(result));
-                }
+            if let Some(slot @ Slot::Waiting) = front.slots.get_mut(&job.0) {
+                *slot = Slot::Done(result);
             }
         }
     }
-    shared.done_cv.notify_all();
+    shared.resolved.notify_all();
 }
 
-fn worker_loop(shared: &Shared, receiver: &Arc<Mutex<Receiver<Msg>>>) {
+/// What one worker turn left behind in the service.
+struct Turn {
+    /// Jobs the turn's batch settled.
+    settled: usize,
+    /// Jobs still queued in the service.
+    backlog: usize,
+    /// [`SimulationService::next_eligible_delay_ms`] after the batch.
+    delay: Option<u64>,
+}
+
+/// One worker turn inside one service-lock hold: move the intake into
+/// the service under each ticket's id until it stays empty (requests
+/// that arrive while earlier ones are planned join the same batch),
+/// drain one admission-controlled batch, and collect every finished
+/// result (and every request rejected at the door) for the caller to
+/// publish.
+fn take_turn(shared: &Shared) -> (Turn, Vec<(JobId, Outcome)>) {
+    let mut svc = lock(&shared.service);
+    let mut finished = Vec::new();
     loop {
-        if shared.abort.load(Ordering::Acquire) {
-            return;
+        let intake = std::mem::take(&mut lock(&shared.front).intake);
+        if intake.is_empty() {
+            break;
         }
-        // Soak every submission already in the channel, without
-        // blocking, so batches form from whole bursts.
-        let mut disconnected = false;
-        loop {
-            let msg = lock(receiver).try_recv();
-            match msg {
-                Ok(m) => admit(shared, m),
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+        for (id, request) in intake {
+            // rejected at the door (infeasible plan, full service
+            // queue): the ticket resolves with the typed error
+            if let Err(err) = svc.submit_as(JobId(id), request) {
+                finished.push((JobId(id), Err(err)));
             }
         }
-        // Drain one admission-controlled batch and publish its results.
-        let (settled, backlog, delay) = {
-            let mut svc = lock(&shared.service);
-            let settled = svc.run_pending();
-            let finished = svc.take_finished();
-            let backlog = svc.queue_len();
-            let delay = svc.next_eligible_delay_ms();
-            drop(svc);
-            publish(shared, finished);
-            (settled, backlog, delay)
-        };
-        if backlog == 0 {
-            if disconnected {
+    }
+    let settled = svc.run_pending();
+    finished.extend(svc.take_finished());
+    let turn = Turn {
+        settled,
+        backlog: svc.queue_len(),
+        delay: svc.next_eligible_delay_ms(),
+    };
+    (turn, finished)
+}
+
+/// Blocks, holding no lock while it sleeps, until the intake has a
+/// request; `false` once intake is closed and empty.
+fn await_arrival(shared: &Shared) -> bool {
+    let mut front = lock(&shared.front);
+    while front.intake.is_empty() {
+        if front.closed {
+            return false;
+        }
+        front = shared
+            .arrived
+            .wait(front)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    true
+}
+
+fn worker_loop(shared: &Shared) {
+    while !shared.abort.load(Ordering::Acquire) {
+        let (turn, finished) = take_turn(shared);
+        publish(shared, finished);
+        if turn.backlog == 0 {
+            if !await_arrival(shared) {
                 // graceful end: intake closed and everything drained
                 return;
             }
-            // idle: block for the next submission, waking periodically
-            // to honor aborts
-            let msg = lock(receiver).recv_timeout(Duration::from_millis(IDLE_RECV_MS));
-            match msg {
-                Ok(m) => admit(shared, m),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        } else if settled == 0 {
+        } else if turn.settled == 0 {
             // every queued job is waiting out a retry backoff window:
             // nap until the earliest becomes eligible (capped, so fresh
             // arrivals are picked up promptly)
-            if let Some(delay_ms) = delay {
-                if delay_ms > 0 {
-                    shared.clock.sleep_ms(delay_ms.clamp(1, BACKOFF_NAP_CAP_MS));
-                }
+            if let Some(delay_ms) = turn.delay.filter(|&d| d > 0) {
+                shared.clock.sleep_ms(delay_ms.min(BACKOFF_NAP_CAP_MS));
             }
         }
     }
@@ -505,6 +457,7 @@ mod tests {
     use crate::planner::Deliverable;
     use crate::service::JobOutput;
     use bgls_circuit::{Circuit, Gate, Operation, Qubit};
+    use bgls_core::BatchPolicy;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new();
@@ -512,6 +465,15 @@ mod tests {
         c.push(Operation::gate(Gate::Cnot, vec![Qubit(0), Qubit(1)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0), Qubit(1)], "m").unwrap());
         c
+    }
+
+    /// The histogram the sync service produces for `request`.
+    fn sync_histogram(request: SimRequest) -> bgls_core::Histogram {
+        let mut service = SimulationService::new(ServiceConfig::default());
+        let id = service.submit(request).unwrap();
+        service.run_all();
+        let report = service.take_result(id).unwrap().unwrap();
+        report.histogram().unwrap().histogram("m").unwrap().clone()
     }
 
     #[test]
@@ -541,85 +503,155 @@ mod tests {
         assert_eq!(stats.failed, 0);
     }
 
-    /// The shared state of a pool with no worker threads, so a test can
-    /// interleave `admit` and `publish` by hand.
-    fn workerless_shared() -> Shared {
-        let service = SimulationService::new(ServiceConfig::default());
-        let clock = service.clock();
-        Shared {
-            service: Mutex::new(service),
-            slots: Mutex::new(FxHashMap::default()),
-            jobmap: Mutex::new(FxHashMap::default()),
-            done_cv: Condvar::new(),
-            abort: AtomicBool::new(false),
-            clock,
-        }
-    }
-
-    /// The finished result a fresh service produces for its first job.
-    fn first_job_result(request: SimRequest) -> Vec<(JobId, Result<JobReport, SimError>)> {
-        let mut service = SimulationService::new(ServiceConfig::default());
-        service.submit(request).unwrap();
-        service.run_pending();
-        let finished = service.take_finished();
-        assert_eq!(finished.len(), 1);
-        finished
+    #[test]
+    fn submit_returns_while_the_service_lock_is_held() {
+        let handle = ServiceHandle::with_defaults().unwrap();
+        let (sent, received) = std::sync::mpsc::channel();
+        let ticket = std::thread::scope(|s| {
+            let service = lock(&handle.shared.service);
+            let h = &handle;
+            s.spawn(move || {
+                let _ = sent.send(h.submit(SimRequest::histogram(bell(), 10).with_seed(1)));
+            });
+            let submitted = received
+                .recv_timeout(Duration::from_secs(10))
+                .expect("submit blocked on the service lock");
+            drop(service);
+            submitted.unwrap()
+        });
+        assert!(handle.wait(ticket).is_ok());
+        handle.shutdown();
     }
 
     #[test]
-    fn a_result_published_before_its_ticket_is_bound_still_resolves() {
-        // The race: admit() submits the job and releases the service
-        // lock; another worker runs the job and publishes its result
-        // before admit() binds the ticket. A fresh service numbers jobs
-        // deterministically, so `early` produces the result the shared
-        // service's first job would.
+    fn wait_timeout_waits_out_its_timeout_through_unrelated_wakeups() {
+        let handle = ServiceHandle::workerless(ServiceConfig::default(), 16);
+        let ticket = handle
+            .submit(SimRequest::histogram(bell(), 10).with_seed(1))
+            .unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // other tickets resolving: a wakeup every millisecond
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    handle.shared.resolved.notify_all();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            let started = Instant::now();
+            let result = handle.wait_timeout(ticket, 100);
+            let waited = started.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            assert!(result.is_none(), "nothing resolves the ticket");
+            assert!(
+                waited >= Duration::from_millis(100),
+                "gave up after {waited:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn a_result_finished_before_it_is_published_resolves_its_ticket() {
+        // The early-publish window: a worker's turn has run the job and
+        // taken its result from the service but not yet published it.
         let request = || SimRequest::histogram(bell(), 50).with_seed(3);
-        let shared = workerless_shared();
-        lock(&shared.slots).insert(7, SlotState::Queued);
-        publish(&shared, first_job_result(request()));
-        admit(&shared, (7, request()));
+        let handle = ServiceHandle::workerless(ServiceConfig::default(), 16);
+        let ticket = handle.submit(request()).unwrap();
+        assert_eq!(handle.status(ticket), JobStatus::Pending);
+        let (_, finished) = take_turn(&handle.shared);
+        assert_eq!(finished.len(), 1);
+        assert_eq!(handle.status(ticket), JobStatus::Done);
+        assert!(!handle.cancel(ticket), "a finished job cannot be cancelled");
         assert!(
-            matches!(lock(&shared.slots).get(&7), Some(SlotState::Done(Ok(_)))),
-            "the ticket must resolve from the early result"
+            handle.wait_timeout(ticket, 0).is_none(),
+            "not published yet"
         );
-        assert!(lock(&shared.jobmap).is_empty(), "nothing left parked");
+        publish(&handle.shared, finished);
+        let report = handle.wait_timeout(ticket, 0).unwrap().unwrap();
+        assert_eq!(
+            report.histogram().unwrap().histogram("m"),
+            Some(&sync_histogram(request()))
+        );
+        assert_eq!(handle.status(ticket), JobStatus::Unknown);
     }
 
     #[test]
-    fn an_early_result_of_a_cancelled_ticket_is_dropped() {
-        let request = || SimRequest::histogram(bell(), 50).with_seed(4);
-        let shared = workerless_shared();
-        publish(&shared, first_job_result(request()));
-        // cancelled between admit's two looks, after the job finished
-        lock(&shared.slots).insert(8, SlotState::Done(Err(SimError::Cancelled)));
-        let job = lock(&shared.service).submit(request());
-        bind(&shared, 8, job);
-        assert!(
-            lock(&shared.jobmap).is_empty(),
-            "the early result is dropped"
-        );
+    fn a_ticket_cancelled_before_admission_never_reaches_the_service() {
+        let handle = ServiceHandle::workerless(ServiceConfig::default(), 16);
+        let ticket = handle
+            .submit(SimRequest::histogram(bell(), 50).with_seed(5))
+            .unwrap();
+        assert!(handle.cancel(ticket));
+        assert!(!handle.cancel(ticket), "already resolved");
+        let (turn, finished) = take_turn(&handle.shared);
+        assert!(finished.is_empty() && turn.backlog == 0);
+        assert_eq!(handle.stats().submitted, 0, "the service never saw it");
         assert!(matches!(
-            lock(&shared.slots).get(&8),
-            Some(SlotState::Done(Err(SimError::Cancelled)))
+            handle.wait_timeout(ticket, 0),
+            Some(Err(SimError::Cancelled))
         ));
     }
 
     #[test]
-    fn a_ticket_cancelled_before_binding_leaves_nothing_behind() {
-        let request = SimRequest::histogram(bell(), 50).with_seed(5);
-        let shared = workerless_shared();
-        // cancelled between admit's two looks, before the job ran
-        lock(&shared.slots).insert(3, SlotState::Done(Err(SimError::Cancelled)));
-        let job = lock(&shared.service).submit(request);
-        bind(&shared, 3, job);
-        let finished = lock(&shared.service).take_finished();
-        assert_eq!(finished.len(), 1, "bind cancels the job in the service");
-        publish(&shared, finished);
-        assert!(lock(&shared.jobmap).is_empty(), "its result is dropped");
+    fn a_ticket_cancelled_in_the_service_queue_resolves_at_once() {
+        let one_per_batch = ServiceConfig {
+            batch: BatchPolicy {
+                min_batch: 1,
+                max_batch: 1,
+                ..BatchPolicy::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let handle = ServiceHandle::workerless(one_per_batch, 16);
+        let first = handle
+            .submit(SimRequest::histogram(bell(), 50).with_seed(6))
+            .unwrap();
+        let second = handle
+            .submit(SimRequest::histogram(bell(), 50).with_seed(7))
+            .unwrap();
+        let (turn, finished) = take_turn(&handle.shared);
+        assert_eq!(turn.backlog, 1, "the second job is queued in the service");
+        assert_eq!(handle.status(second), JobStatus::Pending);
+        assert!(handle.cancel(second));
         assert!(matches!(
-            lock(&shared.slots).get(&3),
-            Some(SlotState::Done(Err(SimError::Cancelled)))
+            handle.wait_timeout(second, 0),
+            Some(Err(SimError::Cancelled))
         ));
+        publish(&handle.shared, finished);
+        assert!(handle.wait_timeout(first, 0).unwrap().is_ok());
+        let stats = handle.stats();
+        assert_eq!((stats.completed, stats.cancellations), (1, 1));
+    }
+
+    #[test]
+    fn a_cancel_after_publish_is_refused_and_keeps_the_result() {
+        let handle = ServiceHandle::workerless(ServiceConfig::default(), 16);
+        let ticket = handle
+            .submit(SimRequest::histogram(bell(), 50).with_seed(4))
+            .unwrap();
+        let (_, finished) = take_turn(&handle.shared);
+        publish(&handle.shared, finished);
+        assert_eq!(handle.status(ticket), JobStatus::Done);
+        assert!(!handle.cancel(ticket));
+        assert!(handle.wait_timeout(ticket, 0).unwrap().is_ok());
+    }
+
+    #[test]
+    fn a_full_intake_rejects_until_a_worker_takes_it() {
+        let handle = ServiceHandle::workerless(ServiceConfig::default(), 2);
+        let a = handle.submit(SimRequest::histogram(bell(), 10)).unwrap();
+        let b = handle.submit(SimRequest::histogram(bell(), 10)).unwrap();
+        assert!(matches!(
+            handle.submit(SimRequest::histogram(bell(), 10)),
+            Err(SimError::Invalid(_))
+        ));
+        let (_, finished) = take_turn(&handle.shared);
+        publish(&handle.shared, finished);
+        let c = handle.submit(SimRequest::histogram(bell(), 10)).unwrap();
+        for t in [a, b] {
+            assert!(handle.wait_timeout(t, 0).unwrap().is_ok());
+        }
+        assert_eq!(handle.status(c), JobStatus::Pending);
     }
 
     #[test]

@@ -39,29 +39,22 @@
 
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, InjectedFault};
-use crate::planner::{degrade, plan_prepared, prepare, Deliverable, ExecPath, ExecutionPlan};
+use crate::planner::{
+    degrade, observable_targets, plan_prepared, prepare, Deliverable, ExecPath, ExecutionPlan,
+};
 use crate::PlannerConfig;
 use bgls_backend::{BackendKind, SimulatorExt};
-use bgls_circuit::{lightcone_prune_for, Circuit, ParamResolver, PauliSum, Qubit, RewriteStats};
+use bgls_circuit::{lightcone_prune_for, Circuit, ParamResolver, PauliSum, RewriteStats};
 use bgls_core::{
     BatchController, BatchPolicy, CacheKey, CacheStats, Clock, MonotonicClock, OpFaultFn,
     ResultCache, RetryPolicy, RunResult, SimError, Simulator,
 };
-use bgls_linalg::{FxHashMap, FxHasher};
+use bgls_linalg::{FxHashMap, FxHashSet, FxHasher};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Locks a mutex, recovering from poisoning: a panicking worker must
-/// never take the service down with it — the protected state is only
-/// ever updated in consistent steps, so the post-panic value is valid.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Renders a caught panic payload as text for [`SimError::WorkerPanic`].
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -418,10 +411,9 @@ pub struct SimulationService {
     next_id: u64,
     stats: ServiceStats,
     clock: Arc<dyn Clock>,
-    /// Ids of jobs inside the batch currently executing — shared so the
-    /// front door can answer [`SimulationService::status`] queries
-    /// without the service lock.
-    running: Arc<Mutex<FxHashMap<u64, ()>>>,
+    /// Ids of jobs inside the batch currently executing, for
+    /// [`SimulationService::status`].
+    running: FxHashSet<u64>,
     /// Timing-calibrated cost model, fed by batch wall-clock
     /// observations; consulted at plan time once its buckets are warm.
     cost: CostModel,
@@ -457,7 +449,7 @@ impl SimulationService {
             next_id: 0,
             stats: ServiceStats::default(),
             clock,
-            running: Arc::new(Mutex::new(FxHashMap::default())),
+            running: FxHashSet::default(),
             cost: CostModel::new(),
             preps: FxHashMap::default(),
         }
@@ -474,6 +466,15 @@ impl SimulationService {
     /// (admission control — the queue bound is the service's memory
     /// ceiling).
     pub fn submit(&mut self, request: SimRequest) -> Result<JobId, SimError> {
+        let id = JobId(self.next_id);
+        self.submit_as(id, request)?;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// [`SimulationService::submit`] under a caller-chosen id — the
+    /// async front door's ticket. Ids must be unique per service.
+    pub(crate) fn submit_as(&mut self, id: JobId, request: SimRequest) -> Result<(), SimError> {
         if self.queue.len() >= self.config.max_queue {
             return Err(SimError::Invalid(format!(
                 "service queue is full ({} jobs); drain with run_pending before submitting more",
@@ -520,10 +521,8 @@ impl SimulationService {
             .deadline_ms
             .or(self.config.default_deadline_ms)
             .map(|budget| (self.clock.now_ms().saturating_add(budget), budget));
-        let id = self.next_id;
-        self.next_id += 1;
         self.queue.push_back(PendingJob {
-            id,
+            id: id.0,
             base: request.circuit,
             resolver,
             resolved,
@@ -541,7 +540,7 @@ impl SimulationService {
             measured_ms: None,
         });
         self.stats.submitted += 1;
-        Ok(JobId(id))
+        Ok(())
     }
 
     /// Drains and executes one admission-controlled batch from the
@@ -645,7 +644,7 @@ impl SimulationService {
         if self.done.contains_key(&id.0) {
             return JobStatus::Done;
         }
-        if lock(&self.running).contains_key(&id.0) {
+        if self.running.contains(&id.0) {
             return JobStatus::Running;
         }
         if self.queue.iter().any(|j| j.id == id.0) {
@@ -700,7 +699,7 @@ impl SimulationService {
             Ok(_) => self.stats.completed += 1,
             Err(_) => self.stats.failed += 1,
         }
-        lock(&self.running).remove(&id);
+        self.running.remove(&id);
         self.done.insert(id, result);
     }
 
@@ -718,12 +717,7 @@ impl SimulationService {
     }
 
     fn execute_batch(&mut self, batch: Vec<PendingJob>) {
-        {
-            let mut running = lock(&self.running);
-            for job in &batch {
-                running.insert(job.id, ());
-            }
-        }
+        self.running.extend(batch.iter().map(|job| job.id));
         // Phase 1: cache lookups, and in-batch dedup of identical keys —
         // a dedup key maps to the first job carrying it (the leader);
         // parked duplicates follow the leader's fate (copy of its
@@ -849,7 +843,7 @@ impl SimulationService {
         // rather than lose a job.
         for (_, dups) in parked {
             for dup in dups {
-                lock(&self.running).remove(&dup.id);
+                self.running.remove(&dup.id);
                 self.queue.push_back(dup);
             }
         }
@@ -858,19 +852,15 @@ impl SimulationService {
     /// One merged `run_batch` fan-out: every entry executes under its
     /// own seed, so each job's histogram is bit-identical to a
     /// standalone [`ExecutionPlan::run`] — batch composition never
-    /// leaks into results. The fan-out runs under `catch_unwind`; on
-    /// any group-level failure (error or panic) each entry re-runs
-    /// individually so every job gets its own isolated verdict.
+    /// leaks into results.
     fn run_histogram_group(
         &mut self,
         n: usize,
         repetitions: u64,
-        mut group: Vec<PendingJob>,
+        group: Vec<PendingJob>,
         parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
     ) {
-        let backend = group[0].plan.backend;
-        let path = group[0].plan.path;
-        let sim = Simulator::for_backend(backend, n, group[0].plan.options.clone());
+        let sim = Simulator::for_backend(group[0].plan.backend, n, group[0].plan.options.clone());
         // Each job executes its plan's (optimizer-rewritten) circuit;
         // the plan fingerprint in the group key guarantees every member
         // went through the same pipeline.
@@ -878,43 +868,14 @@ impl SimulationService {
             .iter()
             .map(|j| (j.plan.circuit.clone(), j.seed))
             .collect();
-        let units: Vec<f64> = group
-            .iter()
-            .map(|j| CostModel::static_units(&j.plan.profile, &backend) * repetitions as f64)
-            .collect();
-        let total_units: f64 = units.iter().sum();
-        for (job, u) in group.iter_mut().zip(&units) {
-            job.predicted_ms = self.cost.predict_ms(&backend, path, *u);
-        }
-        let merged = group.len() > 1;
-        let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| sim.run_batch(&jobs, repetitions)));
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match attempt {
-            Ok(Ok(results)) => {
-                self.stats.simulated_jobs += group.len() as u64;
-                self.cost.observe(&backend, path, total_units, elapsed_ms);
-                for ((mut job, result), u) in group.into_iter().zip(results).zip(units) {
-                    if merged {
-                        self.stats.merged_jobs += 1;
-                    }
-                    if total_units > 0.0 {
-                        job.measured_ms = Some(elapsed_ms * u / total_units);
-                    }
-                    let output = JobOutput::Histogram(Arc::new(result));
-                    self.dispose(job, Ok(output), parked);
-                }
-            }
-            _ => {
-                // A merged fan-out reports only its first error — and a
-                // panic poisons the whole attempt. Isolate: re-run each
-                // entry in its own failure domain.
-                for job in group {
-                    let outcome = self.run_single_guarded(&job, None);
-                    self.dispose(job, outcome, parked);
-                }
-            }
-        }
+        self.run_group(group, repetitions as f64, parked, || {
+            sim.run_batch(&jobs, repetitions).map(|results| {
+                results
+                    .into_iter()
+                    .map(|r| JobOutput::Histogram(Arc::new(r)))
+                    .collect()
+            })
+        });
     }
 
     /// One merged `expectation_sweep` fan-out over the group's shared
@@ -924,34 +885,22 @@ impl SimulationService {
     /// under its own seed.
     fn run_expectation_group(
         &mut self,
-        mut group: Vec<PendingJob>,
+        group: Vec<PendingJob>,
         parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
     ) {
         if group[0].plan.path == ExecPath::ShotEstimate {
-            for job in group {
-                let outcome = self.run_single_guarded(&job, None);
-                self.dispose(job, outcome, parked);
-            }
+            self.run_each(group, parked);
             return;
         }
         let observable = match &group[0].kind {
             JobKind::Expectation { observable, .. } => observable.clone(),
             JobKind::Histogram { .. } => unreachable!("histogram job in expectation group"),
         };
-        let backend = group[0].plan.backend;
-        let path = group[0].plan.path;
-        let options = group[0].plan.options.clone();
         // The observable lightcone commutes with parameter resolution
         // (it drops ops by support alone), so pruning the shared base
         // yields exactly the per-job plan circuits after resolution —
         // the merged sweep stays bit-identical to standalone walks.
-        let mut targets: Vec<Qubit> = observable
-            .terms()
-            .iter()
-            .flat_map(|(_, p)| p.support().into_iter().map(|q| Qubit(q as u32)))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
+        let targets = observable_targets(&observable);
         let base = if group[0].plan.optimize.map(|c| c.lightcone).unwrap_or(false) {
             lightcone_prune_for(&group[0].base, &targets)
         } else {
@@ -961,13 +910,34 @@ impl SimulationService {
         // observable's support — never the raw submission width.
         let n = base
             .num_qubits()
-            .max(targets.iter().map(|q| q.0 as usize + 1).max().unwrap_or(0))
+            .max(targets.last().map_or(0, |q| q.0 as usize + 1))
             .max(1);
-        let sim = Simulator::for_backend(backend, n, options);
+        let sim = Simulator::for_backend(group[0].plan.backend, n, group[0].plan.options.clone());
         let resolvers: Vec<ParamResolver> = group.iter().map(|j| j.resolver.clone()).collect();
+        self.run_group(group, 1.0, parked, || {
+            sim.expectation_sweep(&base, &resolvers, &observable)
+                .map(|values| values.into_iter().map(JobOutput::Expectation).collect())
+        });
+    }
+
+    /// The shared skeleton of a merged fan-out: per-job cost predictions
+    /// (static units times `unit_scale`), one timed `fan_out` call under
+    /// `catch_unwind`, the cost-model observation, and per-job disposal
+    /// with each job's share of the measured wall-clock. On any
+    /// group-level failure (error or panic) each entry re-runs
+    /// individually so every job gets its own isolated verdict.
+    fn run_group(
+        &mut self,
+        mut group: Vec<PendingJob>,
+        unit_scale: f64,
+        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
+        fan_out: impl FnOnce() -> Result<Vec<JobOutput>, SimError>,
+    ) {
+        let backend = group[0].plan.backend;
+        let path = group[0].plan.path;
         let units: Vec<f64> = group
             .iter()
-            .map(|j| CostModel::static_units(&j.plan.profile, &backend))
+            .map(|j| CostModel::static_units(&j.plan.profile, &backend) * unit_scale)
             .collect();
         let total_units: f64 = units.iter().sum();
         for (job, u) in group.iter_mut().zip(&units) {
@@ -975,30 +945,37 @@ impl SimulationService {
         }
         let merged = group.len() > 1;
         let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            sim.expectation_sweep(&base, &resolvers, &observable)
-        }));
+        let attempt = catch_unwind(AssertUnwindSafe(fan_out));
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         match attempt {
-            Ok(Ok(values)) => {
+            Ok(Ok(outputs)) => {
                 self.stats.simulated_jobs += group.len() as u64;
                 self.cost.observe(&backend, path, total_units, elapsed_ms);
-                for ((mut job, value), u) in group.into_iter().zip(values).zip(units) {
+                for ((mut job, output), u) in group.into_iter().zip(outputs).zip(units) {
                     if merged {
                         self.stats.merged_jobs += 1;
                     }
                     if total_units > 0.0 {
                         job.measured_ms = Some(elapsed_ms * u / total_units);
                     }
-                    self.dispose(job, Ok(JobOutput::Expectation(value)), parked);
+                    self.dispose(job, Ok(output), parked);
                 }
             }
-            _ => {
-                for job in group {
-                    let outcome = self.run_single_guarded(&job, None);
-                    self.dispose(job, outcome, parked);
-                }
-            }
+            // A merged fan-out reports only its first error — and a
+            // panic poisons the whole attempt. Isolate.
+            _ => self.run_each(group, parked),
+        }
+    }
+
+    /// Runs and disposes each job in its own failure domain.
+    fn run_each(
+        &mut self,
+        group: Vec<PendingJob>,
+        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
+    ) {
+        for job in group {
+            let outcome = self.run_single_guarded(&job, None);
+            self.dispose(job, outcome, parked);
         }
     }
 
@@ -1035,13 +1012,9 @@ impl SimulationService {
         // to cover the observable for expectation jobs — never the raw
         // submission width, which may include lightcone-pruned qubits.
         let obs_width = match &job.kind {
-            JobKind::Expectation { observable, .. } => observable
-                .terms()
-                .iter()
-                .flat_map(|(_, p)| p.support())
-                .map(|q| q + 1)
-                .max()
-                .unwrap_or(0),
+            JobKind::Expectation { observable, .. } => observable_targets(observable)
+                .last()
+                .map_or(0, |q| q.0 as usize + 1),
             JobKind::Histogram { .. } => 0,
         };
         let n = job.plan.circuit.num_qubits().max(obs_width).max(1);
@@ -1092,16 +1065,7 @@ impl SimulationService {
                     if let Some(dups) = parked.remove(&dk) {
                         for dup in dups {
                             self.stats.merged_jobs += 1;
-                            let report = JobReport {
-                                output: output.clone(),
-                                attempts: job.attempt,
-                                degradations: job.degradations.clone(),
-                                backend: job.plan.backend,
-                                path: job.plan.path,
-                                rewrite: job.plan.rewrite.clone(),
-                                predicted_ms: job.predicted_ms,
-                                measured_ms: job.measured_ms,
-                            };
+                            let report = Self::report_for(&job, output.clone());
                             self.finish(dup.id, Ok(report));
                         }
                     }
@@ -1172,12 +1136,12 @@ impl SimulationService {
     /// dropped by backpressure.
     fn requeue(&mut self, job: PendingJob, parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>) {
         let dedup_key = job.dedup_key;
-        lock(&self.running).remove(&job.id);
+        self.running.remove(&job.id);
         self.queue.push_back(job);
         if let Some(dk) = dedup_key {
             if let Some(dups) = parked.remove(&dk) {
                 for dup in dups {
-                    lock(&self.running).remove(&dup.id);
+                    self.running.remove(&dup.id);
                     self.queue.push_back(dup);
                 }
             }

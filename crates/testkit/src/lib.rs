@@ -3,9 +3,9 @@
 //! Support module for the cross-backend conformance battery: one
 //! declarative list of circuit classes, an explicit capability matrix
 //! saying which [`BackendKind`] claims which class, deterministic
-//! circuit builders per class, exact reference distributions computed
-//! through the expectation frontier (so mid-circuit measurements and
-//! channels are handled exactly, never sampled), and FNV-1a digests of
+//! circuit builders per class, exact reference distributions from one
+//! density-matrix walk (channels mixed in exactly, measurements as
+//! dephasing — never sampled), and FNV-1a digests of
 //! sampling runs for bit-identity assertions.
 //!
 //! The battery itself lives in the workspace-level `tests/conformance.rs`;
@@ -264,25 +264,32 @@ pub fn zbasis_projector(n: usize, bits: u64) -> PauliSum {
     sum
 }
 
-/// The exact final Z-basis distribution of `circuit`, computed on the
-/// density-matrix backend through the exact expectation frontier — so
-/// Kraus channels contribute their full mixture and mid-circuit
-/// measurements fork exactly, with no sampling anywhere. This is the
-/// battery's reference for every chi-squared fit. Exponential in `n`;
-/// keep `n` small.
+/// The exact final Z-basis distribution of `circuit`: one walk on the
+/// density-matrix backend, read off the diagonal. Kraus channels
+/// contribute their full mixture, and every measurement becomes full
+/// dephasing (`phase_flip(0.5)` on each measured qubit) — the circuit IR
+/// has no classical control, so measuring and forgetting the outcome
+/// leaves the final distribution exactly as the measured circuit's,
+/// with no sampling anywhere. This is the battery's reference for every
+/// chi-squared fit. Exponential in `n`; keep `n` small.
 pub fn exact_distribution(circuit: &Circuit, n: usize) -> Vec<f64> {
+    let dephase = Channel::phase_flip(0.5).expect("0.5 is a probability");
+    let mut dephased = Circuit::new();
+    for op in circuit.all_operations() {
+        if op.is_measurement() {
+            for &q in op.support() {
+                let op = Operation::channel(dephase.clone(), vec![q]);
+                dephased.push(op.expect("phase_flip acts on one qubit"));
+            }
+        } else {
+            dephased.push(op.clone());
+        }
+    }
+    let state = Simulator::for_backend(BackendKind::DensityMatrix, n, SimulatorOptions::default())
+        .final_state(&dephased)
+        .expect("density matrix serves every battery circuit");
     (0..1u64 << n)
-        .map(|bits| {
-            expectation_on(
-                BackendKind::DensityMatrix,
-                circuit,
-                n,
-                &zbasis_projector(n, bits),
-                1 << 12,
-            )
-            .expect("density matrix serves every battery circuit")
-            .max(0.0)
-        })
+        .map(|bits| state.probability(BitString::from_u64(n, bits)).max(0.0))
         .collect()
 }
 
@@ -459,6 +466,38 @@ mod tests {
         let total: f64 = dist.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
         assert!(dist.iter().all(|&p| p >= 0.0));
+    }
+
+    #[test]
+    fn the_dephased_walk_matches_the_projector_walk() {
+        // Reference: one exact-expectation walk of the projector
+        // |b><b| per basis state b, mid-circuit measurements forked
+        // exactly by the expectation frontier.
+        for (class, seed) in CircuitClass::all()
+            .into_iter()
+            .flat_map(|c| (0..4).map(move |s| (c, s)))
+        {
+            for n in [3, 4] {
+                let circuit = circuit_for(class, n, seed);
+                let dist = exact_distribution(&circuit, n);
+                for (bits, &p) in dist.iter().enumerate() {
+                    let projector = zbasis_projector(n, bits as u64);
+                    let reference = expectation_on(
+                        BackendKind::DensityMatrix,
+                        &circuit,
+                        n,
+                        &projector,
+                        1 << 12,
+                    )
+                    .unwrap()
+                    .max(0.0);
+                    assert!(
+                        (p - reference).abs() < 1e-12,
+                        "{class} seed {seed}, n = {n}, bits {bits:b}: {p} vs {reference}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
